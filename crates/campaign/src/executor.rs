@@ -1217,9 +1217,16 @@ impl MatrixExecutor {
         if workers <= 1 {
             worker();
         } else {
+            // Each worker drains its own span buffer before it returns:
+            // `thread::scope` may return before a scoped thread's TLS
+            // destructors run, so the drop-flush could land after the
+            // caller has already read the sink.
             thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(worker);
+                    scope.spawn(|| {
+                        worker();
+                        secbranch_obs::flush_thread();
+                    });
                 }
             });
         }

@@ -206,60 +206,65 @@ impl CampaignReport {
     /// worker-thread count.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`CampaignReport::to_json`]'s document to `out`, writing
+    /// every field in place — no intermediate string per field, so a grid
+    /// report of many cells is assembled in one buffer.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"model\":");
+        push_json_string(out, &self.model);
+        out.push_str(",\"entry\":");
+        push_json_string(out, &self.entry);
+        out.push_str(",\"args\":[");
+        for (i, arg) in self.args.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{arg}");
+        }
         let _ = write!(
             out,
-            "\"model\":{},\"entry\":{},\"args\":[{}],",
-            json_string(&self.model),
-            json_string(&self.entry),
-            self.args
-                .iter()
-                .map(u32::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        let _ = write!(
-            out,
-            "\"reference\":{{\"return_value\":{},\"cycles\":{},\"instructions\":{}}},",
+            "],\"reference\":{{\"return_value\":{},\"cycles\":{},\"instructions\":{}}},\"counts\":",
             self.reference.return_value, self.reference.cycles, self.reference.instructions,
         );
+        push_json_counts(out, &self.counts);
         let _ = write!(
             out,
-            "\"counts\":{},\"escape_rate\":{:.9},",
-            json_counts(&self.counts),
-            self.escape_rate(),
+            ",\"escape_rate\":{:.9},\"locations\":[",
+            self.escape_rate()
         );
-        out.push_str("\"locations\":[");
         for (i, loc) in self.locations.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"pc\":{},\"location\":{},\"instruction\":{},\"counts\":{}}}",
-                loc.pc,
-                json_string(&loc.location),
-                json_string(&loc.instruction),
-                json_counts(&loc.counts),
-            );
+            let _ = write!(out, "{{\"pc\":{},\"location\":", loc.pc);
+            push_json_string(out, &loc.location);
+            out.push_str(",\"instruction\":");
+            push_json_string(out, &loc.instruction);
+            out.push_str(",\"counts\":");
+            push_json_counts(out, &loc.counts);
+            out.push('}');
         }
         out.push_str("],\"escapes\":[");
         for (i, esc) in self.escapes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("{\"fault\":");
+            push_json_string(out, &esc.fault);
             let _ = write!(
                 out,
-                "{{\"fault\":{},\"step\":{},\"pc\":{},\"instruction\":{},\"return_value\":{}}}",
-                json_string(&esc.fault),
-                esc.step,
-                esc.pc,
-                json_string(&esc.instruction),
-                esc.return_value,
+                ",\"step\":{},\"pc\":{},\"instruction\":",
+                esc.step, esc.pc
             );
+            push_json_string(out, &esc.instruction);
+            let _ = write!(out, ",\"return_value\":{}}}", esc.return_value);
         }
         out.push_str("]}");
-        out
     }
 }
 
@@ -272,35 +277,50 @@ fn truncated(s: &str, max: usize) -> String {
     }
 }
 
-fn json_counts(c: &OutcomeCounts) -> String {
-    format!(
+fn push_json_counts(out: &mut String, c: &OutcomeCounts) {
+    let _ = write!(
+        out,
         "{{\"masked\":{},\"detected\":{},\"crashed\":{},\"wrong_result_undetected\":{}}}",
         c.masked, c.detected, c.crashed, c.wrong_result_undetected
-    )
+    );
 }
 
 /// Escapes `s` as a JSON string literal (quotes included). Shared by every
 /// hand-rolled JSON serialiser of the workspace — the offline build has no
-/// serde.
+/// serde. A thin wrapper over [`push_json_string`], the one escaper.
 #[must_use]
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_json_string(&mut out, s);
     out
+}
+
+/// Appends `s` to `out` as a JSON string literal (quotes included). Runs
+/// of characters that need no escaping are copied with one `push_str`.
+pub fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run_start = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        // Every byte that needs escaping is ASCII, so `i` is a character
+        // boundary.
+        out.push_str(&s[run_start..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run_start = i + 1;
+    }
+    out.push_str(&s[run_start..]);
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -355,5 +375,53 @@ mod tests {
     fn json_strings_are_escaped() {
         assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(json_string("tab\there"), "\"tab\\there\"");
+    }
+
+    /// The escaper `json_string` used before `push_json_string` existed:
+    /// one `char` at a time. The run-copying escaper must match it.
+    fn json_string_charwise(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn push_json_string_matches_the_charwise_escaper() {
+        let cases = [
+            "",
+            "plain text",
+            "\"quoted\"",
+            "back\\slash\\",
+            "line\nbreak\ttab\rreturn",
+            "\u{0}nul \u{1}soh \u{8}bs \u{b}vt \u{c}ff \u{1b}esc \u{1f}us \u{7f}del",
+            "héllo wörld — “quotes” ✓ 𝄞",
+            "\"\\\n\u{1}é\"",
+            "ldr r0, [r1, #4]",
+        ];
+        for case in cases {
+            let mut out = String::from("prefix:");
+            push_json_string(&mut out, case);
+            assert_eq!(
+                out,
+                format!("prefix:{}", json_string_charwise(case)),
+                "{case:?}"
+            );
+            assert_eq!(json_string(case), json_string_charwise(case), "{case:?}");
+        }
+        assert_eq!(json_string("\u{1}\u{1f}"), "\"\\u0001\\u001f\"");
+        assert_eq!(json_string("é\n✓"), "\"é\\n✓\"");
     }
 }

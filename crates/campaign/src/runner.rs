@@ -296,11 +296,19 @@ impl CampaignRunner {
         }
         // Contiguous chunks, one per worker; joining in spawn order restores
         // the canonical fault-space order regardless of completion order.
+        // Workers flush their span buffers explicitly: a scoped thread's
+        // TLS destructors may run after `join` returns.
         let chunk_size = points.len().div_ceil(workers);
         thread::scope(|scope| {
             let handles: Vec<_> = points
                 .chunks(chunk_size)
-                .map(|chunk| scope.spawn(move || run_chunk(chunk)))
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        let outcomes = run_chunk(chunk);
+                        secbranch_obs::flush_thread();
+                        outcomes
+                    })
+                })
                 .collect();
             let mut outcomes = Vec::with_capacity(points.len());
             for handle in handles {

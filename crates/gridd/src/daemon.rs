@@ -511,22 +511,20 @@ fn handle_grid(
                     drop(inflight);
                     roles.push(Served::StoreWarm);
                     shared.warm_cells.fetch_add(1, Ordering::Relaxed);
-                    write_frame_versioned(
-                        stream,
-                        version,
-                        RESP_CELL,
-                        &encode_cell(&CellFrame {
-                            cell_index: index,
-                            total_cells: total,
-                            served: Served::StoreWarm,
-                            workload: workload.name.clone(),
-                            pipeline: pipeline.label().to_string(),
-                            model: model.name(),
-                            report: report.clone(),
-                            compute_micros: 0,
-                        }),
-                    )?;
-                    reports[index as usize] = Some(report);
+                    // The report moves into the frame for encoding and
+                    // back out for assembly — no per-cell clone.
+                    let cell = CellFrame {
+                        cell_index: index,
+                        total_cells: total,
+                        served: Served::StoreWarm,
+                        workload: workload.name.clone(),
+                        pipeline: pipeline.label().to_string(),
+                        model: model.name(),
+                        report,
+                        compute_micros: 0,
+                    };
+                    write_frame_versioned(stream, version, RESP_CELL, &encode_cell(&cell))?;
+                    reports[index as usize] = Some(cell.report);
                 } else {
                     inflight.insert(
                         cell_key.clone(),
@@ -636,22 +634,18 @@ fn handle_grid(
                     }
                 }
                 let (workload, pipeline, model) = cell_labels(&plan, index);
-                write_frame_versioned(
-                    stream,
-                    version,
-                    RESP_CELL,
-                    &encode_cell(&CellFrame {
-                        cell_index: index,
-                        total_cells: total,
-                        served,
-                        workload,
-                        pipeline,
-                        model,
-                        report: delivered.report.clone(),
-                        compute_micros: compute_micros[index as usize],
-                    }),
-                )?;
-                reports[index as usize] = Some(delivered.report);
+                let cell = CellFrame {
+                    cell_index: index,
+                    total_cells: total,
+                    served,
+                    workload,
+                    pipeline,
+                    model,
+                    report: delivered.report,
+                    compute_micros: compute_micros[index as usize],
+                };
+                write_frame_versioned(stream, version, RESP_CELL, &encode_cell(&cell))?;
+                reports[index as usize] = Some(cell.report);
             }
             Err(message) => {
                 failure = Some(message);

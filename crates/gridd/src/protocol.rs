@@ -56,6 +56,11 @@ pub const MAX_FRAME: u64 = 64 << 20;
 /// Size of the fixed frame header preceding the payload.
 pub const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 4;
 
+/// Most payload bytes [`read_frame`] reserves before any of them arrive.
+/// Larger payloads grow the buffer as they stream in, so a header that
+/// promises [`MAX_FRAME`] and then goes silent costs this much, not 64 MiB.
+const PAYLOAD_PREALLOC: u64 = 1 << 20;
+
 /// Client → daemon: run a security grid (a [`GridRequest`] payload).
 pub const REQ_GRID: u8 = 1;
 /// Client → daemon: return a [`StatsSnapshot`] (empty payload).
@@ -204,8 +209,11 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Frame, WireError> {
     if payload_len > MAX_FRAME {
         return Err(WireError::Corrupt);
     }
-    let mut payload = vec![0u8; payload_len as usize];
-    stream.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(payload_len.min(PAYLOAD_PREALLOC) as usize);
+    stream.take(payload_len).read_to_end(&mut payload)?;
+    if payload.len() as u64 != payload_len {
+        return Err(WireError::Io(io::ErrorKind::UnexpectedEof.into()));
+    }
     if crc32(&payload) != crc {
         return Err(WireError::Corrupt);
     }
@@ -834,6 +842,40 @@ mod tests {
             read_frame(&mut [0u8; 3].as_slice()),
             Err(WireError::Io(_))
         ));
+    }
+
+    /// A stream that records the largest buffer it was asked to fill.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        largest_read: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_read = self.largest_read.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_truncated_giant_frame_fails_without_reserving_its_length() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, REQ_GRID, b"").expect("writes");
+        wire[9..17].copy_from_slice(&MAX_FRAME.to_le_bytes());
+        wire.extend_from_slice(b"only a few payload bytes");
+        let mut stream = Recording {
+            bytes: &wire,
+            largest_read: 0,
+        };
+        match read_frame(&mut stream) {
+            Err(WireError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected a clean EOF error, got {other:?}"),
+        }
+        assert!(
+            stream.largest_read as u64 <= PAYLOAD_PREALLOC,
+            "read into a {} byte buffer",
+            stream.largest_read
+        );
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //!
 //! While on, each thread accumulates finished spans in a thread-local
 //! buffer (a bounded ring: filling it drains to the sink early) that is
-//! flushed to the installed sink when the thread exits — scoped executor
-//! workers flush before their scope returns — or when [`flush_thread`] is
-//! called on the thread. The per-event cost is two clock reads and a `Vec`
-//! push; the sink's lock is only taken on drains.
+//! flushed to the installed sink when the thread exits or when
+//! [`flush_thread`] is called on the thread. Scoped workers call
+//! [`flush_thread`] themselves: `std::thread::scope` can return before a
+//! scoped thread's TLS destructors run, so their exit flush could land
+//! after the sink was read. The per-event cost is two clock reads and a
+//! `Vec` push; the sink's lock is only taken on drains.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -185,7 +187,8 @@ fn thread_id() -> u64 {
 /// Drains the calling thread's span buffer into the installed sink.
 ///
 /// Threads flush automatically on exit; long-lived threads (the main
-/// thread, pool workers) call this before the sink is read so their tail
+/// thread, pool workers) and scoped workers (whose exit flush may run after
+/// their scope returned) call this before the sink is read so their tail
 /// of events is not missed.
 pub fn flush_thread() {
     BUFFER.with(|buffer| buffer.borrow_mut().flush());
@@ -398,11 +401,13 @@ mod tests {
         let _guard = TEST_LOCK.lock().unwrap();
         let sink = Arc::new(TraceSink::new());
         install_sink(&sink);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _span = span("worker");
-            });
-        });
+        // A plain (not scoped) thread: `join` returns only after its TLS
+        // destructors — and so the buffer's drop-flush — have run.
+        std::thread::spawn(|| {
+            let _span = span("worker");
+        })
+        .join()
+        .expect("worker joins");
         uninstall_sink();
         let events = sink.take_events();
         assert!(events.iter().any(|e| e.label == "worker"));

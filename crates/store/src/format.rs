@@ -35,7 +35,10 @@ pub const KIND_CELL: u8 = 2;
 /// Size of the fixed frame header preceding the payload.
 pub const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 4;
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+/// Slicing-by-16 lookup tables: `CRC_TABLES[0]` is the classic bytewise
+/// table, and `CRC_TABLES[k][b]` is the CRC state contribution of byte `b`
+/// followed by `k` zero bytes, so 16 table lookups fold 16 input bytes.
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 const fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -57,16 +60,58 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    tables[0] = crc32_table();
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// CRC-32 (IEEE 802.3, reflected) of `bytes`.
+///
+/// Slicing-by-16: each 16-byte block costs 16 independent table lookups
+/// instead of 16 dependent ones, and the tail runs the bytewise loop. The
+/// polynomial and every value are those of the classic bytewise CRC, so
+/// records and wire frames written by either stay readable by the other.
 ///
 /// (`secbranch-programs` carries its own copy for the CRC workload's
 /// embedded digest — that crate is a leaf and must not depend on the
 /// persistence stack; both copies pin the `0xCBF43926` check vector.)
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let head = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(head & 0xFF) as usize]
+            ^ t[14][((head >> 8) & 0xFF) as usize]
+            ^ t[13][((head >> 16) & 0xFF) as usize]
+            ^ t[12][(head >> 24) as usize]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -322,6 +367,53 @@ mod tests {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The classic one-table bytewise CRC-32, the reference the sliced
+    /// implementation must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table = crc32_table();
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64).
+    fn noise(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        let data = noise(64 + 16, 0x9E37_79B9_7F4A_7C15);
+        for len in 0..=64 {
+            for start in 0..16 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "length {len} at offset {start}"
+                );
+            }
+        }
+        let large = noise(1_500_000 + 7, 0x2545_F491_4F6C_DD1D);
+        for start in [0, 3] {
+            let slice = &large[start..];
+            assert_eq!(
+                crc32(slice),
+                crc32_bytewise(slice),
+                "large buffer at offset {start}"
+            );
+        }
     }
 
     #[test]

@@ -302,7 +302,6 @@ impl EvictReport {
 #[derive(Debug)]
 pub struct GridStore {
     root: PathBuf,
-    tmp_counter: AtomicU64,
     trace_hits: AtomicU64,
     trace_misses: AtomicU64,
     cell_hits: AtomicU64,
@@ -336,7 +335,6 @@ impl GridStore {
         sweep_stale_staging(&root.join("tmp"));
         let store = GridStore {
             root,
-            tmp_counter: AtomicU64::new(0),
             trace_hits: AtomicU64::new(0),
             trace_misses: AtomicU64::new(0),
             cell_hits: AtomicU64::new(0),
@@ -439,14 +437,23 @@ impl GridStore {
         self.record_path("cells", fnv1a_64(&codec::encode_cell_key(key)))
     }
 
+    /// A fresh staging file name under `tmp/`. The counter is process-wide,
+    /// not per handle: two handles over one directory in one process must
+    /// never stage to the same file, or one could publish the other's
+    /// half-written record.
+    fn staging_path(&self) -> PathBuf {
+        static NEXT_STAGING: AtomicU64 = AtomicU64::new(0);
+        self.root.join("tmp").join(format!(
+            "{}.{}.tmp",
+            std::process::id(),
+            NEXT_STAGING.fetch_add(1, Ordering::Relaxed),
+        ))
+    }
+
     /// Writes `bytes` to `path` atomically: staged in `tmp/`, published by
     /// rename.
     fn publish(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let staged = self.root.join("tmp").join(format!(
-            "{}.{}.tmp",
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed),
-        ));
+        let staged = self.staging_path();
         fs::write(&staged, bytes)?;
         fs::rename(&staged, path)
     }
@@ -765,5 +772,23 @@ impl GridBackend for GridStore {
 
     fn store_cell(&self, key: &CellKey, report: &CampaignReport) {
         self.put_cell(key, report);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn handles_over_one_directory_never_share_a_staging_name() {
+        let dir = std::env::temp_dir().join(format!("secbranch-staging-{}", std::process::id()));
+        let a = GridStore::open(&dir).expect("opens");
+        let b = GridStore::open(&dir).expect("opens");
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..64 {
+            assert!(seen.insert(a.staging_path()), "handle a reused a name");
+            assert!(seen.insert(b.staging_path()), "handle b reused a name");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 }
