@@ -1217,10 +1217,8 @@ impl MatrixExecutor {
         if workers <= 1 {
             worker();
         } else {
-            // Each worker drains its own span buffer before it returns:
-            // `thread::scope` may return before a scoped thread's TLS
-            // destructors run, so the drop-flush could land after the
-            // caller has already read the sink.
+            // Workers flush their span buffers explicitly: a scoped
+            // thread's TLS destructors may run after the scope returns.
             thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| {
