@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use secbranch::campaign::{
-    json_string, BranchInversion, CampaignRunner, FaultModel, InstructionSkip,
+    json_string, BranchInversion, FaultModel, InstructionSkip, MatrixExecutor, TraceStore,
 };
 use secbranch::codegen::HardenRegion;
 use secbranch::ir::BlockId;
@@ -415,7 +415,8 @@ impl SelectiveHardening {
     ///
     /// Propagates pipeline build or simulation failures.
     pub fn advise(&self, workload: &Workload) -> Result<AdvisorOutcome, BuildError> {
-        let runner = CampaignRunner::new().with_threads(self.threads);
+        let executor = MatrixExecutor::new().with_threads(self.threads);
+        let store = TraceStore::new();
         let models = Self::models();
         let all_functions: BTreeSet<String> = workload
             .module
@@ -433,8 +434,13 @@ impl SelectiveHardening {
         let base_cat = Categorizer::new(&workload.module, &base.compiled().program);
         let mut base_escapes = Vec::new();
         for model in &models {
-            let report =
-                base.campaign_with(&runner, &workload.entry, &workload.args, model.as_ref())?;
+            let report = base.campaign_with(
+                &executor,
+                &store,
+                &workload.entry,
+                &workload.args,
+                model.as_ref(),
+            )?;
             base_escapes.extend(base_cat.categorize_report(&report));
         }
         let remediation = RemediationReport::new(workload.name.clone(), &base_escapes);
@@ -456,7 +462,8 @@ impl SelectiveHardening {
             selective_escapes.clear();
             for model in &models {
                 let report = artifact.campaign_with(
-                    &runner,
+                    &executor,
+                    &store,
                     &workload.entry,
                     &workload.args,
                     model.as_ref(),
@@ -488,7 +495,7 @@ impl SelectiveHardening {
             measurement: selective_measurement,
             escapes_by_model: selective_escapes,
         };
-        let full = self.measure_full(workload, &runner, &models, &baseline)?;
+        let full = self.measure_full(workload, &executor, &store, &models, &baseline)?;
 
         Ok(AdvisorOutcome {
             workload: workload.name.clone(),
@@ -509,7 +516,8 @@ impl SelectiveHardening {
     fn measure_full(
         &self,
         workload: &Workload,
-        runner: &CampaignRunner,
+        executor: &MatrixExecutor,
+        store: &TraceStore,
         models: &[Box<dyn FaultModel>],
         baseline: &Measurement,
     ) -> Result<VariantOutcome, BuildError> {
@@ -536,8 +544,13 @@ impl SelectiveHardening {
         let measurement = artifact.measure(&workload.entry, &workload.args)?;
         let mut escapes_by_model = BTreeMap::new();
         for model in models {
-            let report =
-                artifact.campaign_with(runner, &workload.entry, &workload.args, model.as_ref())?;
+            let report = artifact.campaign_with(
+                executor,
+                store,
+                &workload.entry,
+                &workload.args,
+                model.as_ref(),
+            )?;
             escapes_by_model.insert(report.model.clone(), report.escapes.len() as u64);
         }
         Ok(VariantOutcome {

@@ -3,14 +3,36 @@
 //! and the closed loop's zero-escape / lower-overhead acceptance.
 
 use secbranch::campaign::{
-    BranchInversion, CampaignRunner, DoubleInstructionSkip, FaultModel, InstructionSkip,
-    MemoryBitFlip, RegisterBitFlip,
+    BranchInversion, CampaignReport, CampaignRunner, DoubleInstructionSkip, FaultModel,
+    InstructionSkip, MemoryBitFlip, RegisterBitFlip, SharedModule,
 };
 use secbranch::programs::{
     crc32_table_module, integer_compare_module, password_check_module, pin_retry_module,
 };
-use secbranch::{Pipeline, ProtectionVariant, Workload};
+use secbranch::{Artifact, Pipeline, ProtectionVariant, Workload};
 use secbranch_advisor::{Categorizer, RemediationReport, SelectiveHardening};
+
+/// The reference campaign: the `CampaignRunner` oracle on the artifact's
+/// compilation, independent of the executor the advisor runs on.
+fn oracle_campaign(
+    artifact: &Artifact,
+    workload: &Workload,
+    model: &dyn FaultModel,
+) -> CampaignReport {
+    let source = SharedModule {
+        compiled: artifact.compiled(),
+        memory_size: artifact.sim().memory_size,
+    };
+    CampaignRunner::new()
+        .run(
+            &source,
+            &workload.entry,
+            &workload.args,
+            artifact.sim().max_steps,
+            model,
+        )
+        .expect("campaign runs")
+}
 
 fn pin_retry_workload() -> Workload {
     Workload::new("pin retry", pin_retry_module(4, 3), "pin_check", &[])
@@ -24,12 +46,9 @@ fn categorize_unprotected(workload: &Workload) -> RemediationReport {
         .build(&workload.module)
         .expect("builds");
     let categorizer = Categorizer::new(&workload.module, &artifact.compiled().program);
-    let runner = CampaignRunner::new();
     let mut escapes = Vec::new();
     for model in [&InstructionSkip as &dyn FaultModel, &BranchInversion] {
-        let report = artifact
-            .campaign_with(&runner, &workload.entry, &workload.args, model)
-            .expect("campaign runs");
+        let report = oracle_campaign(&artifact, workload, model);
         escapes.extend(categorizer.categorize_report(&report));
     }
     RemediationReport::new(workload.name.clone(), &escapes)
@@ -113,7 +132,6 @@ fn every_escape_in_the_60_cell_grid_receives_exactly_one_category() {
         }),
         Box::new(BranchInversion),
     ];
-    let runner = CampaignRunner::new();
     let mut cells = 0;
     let mut escapes_seen = 0usize;
     for workload in &workloads {
@@ -124,9 +142,7 @@ fn every_escape_in_the_60_cell_grid_receives_exactly_one_category() {
                 .expect("builds");
             let categorizer = Categorizer::new(&workload.module, &artifact.compiled().program);
             for model in &models {
-                let report = artifact
-                    .campaign_with(&runner, &workload.entry, &workload.args, model.as_ref())
-                    .expect("campaign runs");
+                let report = oracle_campaign(&artifact, workload, model.as_ref());
                 let categorized = categorizer.categorize_report(&report);
                 assert_eq!(
                     categorized.len(),

@@ -1,12 +1,14 @@
 //! The [`MatrixExecutor`]: one global fault-space scheduler for a whole
 //! security matrix, with differential resume.
 //!
-//! The [`crate::CampaignRunner`] parallelises *one* campaign; a security
-//! matrix (workloads × protection variants × fault models) built on it runs
-//! its cells strictly one after another, re-records the same reference trace
-//! for every model attacking the same artifact, and serialises whenever one
-//! cell's fault space dwarfs the others. The executor instead compiles the
-//! *entire* matrix down to one job graph:
+//! The executor is the one campaign engine: a single campaign is a
+//! one-cell matrix. The [`crate::CampaignRunner`] oracle parallelises *one*
+//! campaign; a security matrix (workloads × protection variants × fault
+//! models) built on it runs its cells strictly one after another,
+//! re-records the same reference trace for every model attacking the same
+//! artifact, and serialises whenever one cell's fault space dwarfs the
+//! others. The executor instead compiles the *entire* matrix down to one
+//! job graph:
 //!
 //! 1. every cell's reference trace is fetched through a [`TraceStore`]
 //!    (recorded once per distinct `(artifact, entry, args)` key), and a

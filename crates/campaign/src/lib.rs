@@ -13,24 +13,23 @@
 //!   [`RegisterBitFlip`] and [`MemoryBitFlip`], and the paper's core
 //!   attacker, [`BranchInversion`] (every dynamic conditional branch forced
 //!   the wrong way).
-//! * **[`CampaignRunner`]** — executes the fault space on fresh simulators
-//!   from a [`SimulatorSource`], sharded across `std::thread` workers
-//!   (default: available parallelism), and merges outcomes in canonical
-//!   fault-space order, so reports are byte-identical regardless of the
-//!   thread count. Fresh simulators are cheap because the program is
-//!   `Arc`-shared ([`SharedModule`]); a million injections allocate a
-//!   million machines, not a million programs.
+//! * **[`CampaignRunner`]** — the oracle: a deliberately simple runner
+//!   that executes the fault space on a fresh simulator per injection from
+//!   a [`SimulatorSource`], sharded across `std::thread` workers, and
+//!   merges outcomes in canonical fault-space order. It has none of the
+//!   executor's shortcuts, which is what makes it the independent
+//!   reference the executor's reports are byte-compared against.
 //! * **[`CampaignReport`]** — aggregate [`OutcomeCounts`] plus per-location
 //!   attribution: which instruction each escaped fault was anchored at
 //!   ([`LocationReport`], [`EscapeRecord`]), a text heatmap and a
 //!   deterministic JSON serialisation.
-//! * **[`MatrixExecutor`] + [`TraceStore`]** — the matrix-scale layer: an
-//!   entire security matrix (many cells = artifact × fault-model pairs,
-//!   described as [`MatrixJob`]s) flattens into fixed-size shards scheduled
-//!   across *one* shared worker pool, with reference traces memoised per
-//!   `(artifact, entry, args)` ([`TraceKey`]) so N models attacking one
-//!   artifact record its trace once. Reports stay byte-identical to the
-//!   per-cell sequential path at any thread count.
+//! * **[`MatrixExecutor`] + [`TraceStore`]** — the campaign engine: any
+//!   number of cells (artifact × fault-model pairs, described as
+//!   [`MatrixJob`]s, from a single campaign to an entire security matrix)
+//!   flatten into fixed-size shards scheduled across *one* shared worker
+//!   pool, with reference traces memoised per `(artifact, entry, args)`
+//!   ([`TraceKey`]) so N models attacking one artifact record its trace
+//!   once. Reports stay byte-identical to the oracle's at any thread count.
 //! * **[`persist`]** — the persistence interface: a [`GridBackend`]
 //!   (implemented by `secbranch-store`'s disk-backed `GridStore`) attaches
 //!   behind a [`TraceStore`], which then warm-starts reference traces from

@@ -306,10 +306,8 @@ impl FaultModel for DoubleInstructionSkip {
 pub const FLIP_REGISTERS: [Reg; 5] = [Reg::R0, Reg::R1, Reg::R2, Reg::R3, Reg::R12];
 
 /// Monte-Carlo register-bit-flip model: `trials` injections, each flipping a
-/// random bit of a random data register at a random dynamic step.
-///
-/// The sampling order (step, then register, then bit) matches the historical
-/// `RegisterBitFlipCampaign`, so a given seed reproduces its exact numbers.
+/// random bit of a random data register at a random dynamic step (sampled
+/// in that order: step, then register, then bit).
 #[derive(Debug, Clone, Copy)]
 pub struct RegisterBitFlip {
     /// Number of injections.

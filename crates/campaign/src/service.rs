@@ -27,6 +27,7 @@
 //! end of a channel observes the disconnect).
 
 use std::collections::BinaryHeap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -94,6 +95,10 @@ pub enum PoolError {
     /// still queued (dropped without executing anything) or mid-run (the
     /// executor stopped between shards and discarded partial work).
     DeadlineExpired,
+    /// The cell panicked during execution (e.g. inside its fault model).
+    /// The panic is contained to the cell: the worker survives, nothing is
+    /// persisted, and the pool counts the job in [`PoolStats::errored`].
+    Panicked,
 }
 
 impl std::fmt::Display for PoolError {
@@ -103,6 +108,7 @@ impl std::fmt::Display for PoolError {
             PoolError::DeadlineExpired => {
                 write!(f, "deadline passed before the job could finish")
             }
+            PoolError::Panicked => write!(f, "the cell panicked during execution"),
         }
     }
 }
@@ -203,7 +209,8 @@ pub struct PoolStats {
     pub submitted: u64,
     /// Jobs whose callback received an `Ok` result.
     pub completed: u64,
-    /// Jobs whose callback received an `Err` (failing reference run).
+    /// Jobs whose callback received an `Err` (failing reference run or a
+    /// panicked cell).
     pub errored: u64,
     /// Jobs dropped unexecuted because their deadline passed while they
     /// were still queued (their callbacks received
@@ -408,19 +415,27 @@ fn worker_loop(shared: &PoolShared) {
             max_steps: request.max_steps,
             model,
         };
-        let result = MatrixExecutor::new()
-            .with_threads(1)
-            .with_cell_cache_ignored(request.cold)
-            .run_with_deadline(
-                std::slice::from_ref(&matrix_job),
-                &shared.store,
-                request.deadline,
-            )
-            .map(|mut results| results.pop().expect("one job in, one result out"))
-            .map_err(|e| match e {
-                MatrixError::Sim(e) => PoolError::Sim(e),
-                MatrixError::DeadlineExpired => PoolError::DeadlineExpired,
-            });
+        // A panicking cell fails that cell, not the worker: an unwind would
+        // drop `on_done` uncalled and leave `in_flight` raised, so waiters
+        // coalesced onto the cell would hang. Nothing shared is left
+        // half-written: the trace store changes only under its lock, and a
+        // cell is written back only once its report is assembled.
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            MatrixExecutor::new()
+                .with_threads(1)
+                .with_cell_cache_ignored(request.cold)
+                .run_with_deadline(
+                    std::slice::from_ref(&matrix_job),
+                    &shared.store,
+                    request.deadline,
+                )
+        }));
+        let result = match run {
+            Ok(Ok(mut results)) => Ok(results.pop().expect("one job in, one result out")),
+            Ok(Err(MatrixError::Sim(e))) => Err(PoolError::Sim(e)),
+            Ok(Err(MatrixError::DeadlineExpired)) => Err(PoolError::DeadlineExpired),
+            Err(_) => Err(PoolError::Panicked),
+        };
         match &result {
             Ok(cell) => {
                 shared
@@ -627,6 +642,48 @@ mod tests {
         assert_eq!(stats.expired, 1);
         assert_eq!(stats.completed, 0);
         assert_eq!(stats.errored, 0);
+    }
+
+    /// A fault model that panics while building its fault space.
+    struct PanickingModel;
+
+    impl FaultModel for PanickingModel {
+        fn name(&self) -> String {
+            "panicking".to_string()
+        }
+
+        fn fault_points(&self, _: &crate::model::CampaignContext<'_>) -> Vec<crate::FaultPoint> {
+            panic!("fault model bug");
+        }
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_alone_and_the_worker_survives() {
+        let pool = ExecutorPool::new(Arc::new(TraceStore::new()), 1, 4);
+        let (tx, rx) = mpsc::channel();
+        assert!(pool.submit(
+            0,
+            request_for(Arc::new(PanickingModel)),
+            Box::new(move |r| tx.send(r).expect("receiver alive")),
+        ));
+        let result = rx.recv().expect("a panicked cell still fires its callback");
+        assert!(matches!(result, Err(PoolError::Panicked)));
+        let stats = pool.stats();
+        assert_eq!(stats.in_flight, 0);
+        assert_eq!(stats.errored, 1);
+        assert_eq!(stats.completed, 0);
+
+        // The same worker serves the next job normally.
+        let (tx, rx) = mpsc::channel();
+        assert!(pool.submit(
+            0,
+            request_for(Arc::new(BranchInversion)),
+            Box::new(move |r| tx.send(r).expect("receiver alive")),
+        ));
+        assert!(rx.recv().expect("callback fired").is_ok());
+        let stats = pool.stats();
+        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.in_flight, 0);
     }
 
     #[test]

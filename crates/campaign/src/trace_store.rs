@@ -478,10 +478,8 @@ impl StoreInner {
 /// for a recording. Entries are handed out as [`Arc`]s, so N concurrent
 /// campaigns share one trace allocation.
 ///
-/// Entries normally carry resume checkpoints for the matrix executor's
-/// fast-forward path; a store built with
-/// [`TraceStore::without_checkpoints`] records plain traces instead —
-/// the right choice for throwaway stores whose consumers never resume.
+/// Entries carry resume checkpoints for the matrix executor's
+/// fast-forward path.
 ///
 /// # Persistence (spill/attach)
 ///
@@ -501,7 +499,7 @@ impl StoreInner {
 /// [`TraceStore::checkpoint_evictions`]); the traces themselves always
 /// stay, and consumers transparently fall back to full re-execution when a
 /// checkpoint is gone — output never changes, only speed.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TraceStore {
     inner: Mutex<StoreInner>,
     hits: AtomicU64,
@@ -509,21 +507,6 @@ pub struct TraceStore {
     misses: AtomicU64,
     evictions: AtomicU64,
     snapshot_evictions: AtomicU64,
-    checkpoints: bool,
-}
-
-impl Default for TraceStore {
-    fn default() -> Self {
-        TraceStore {
-            inner: Mutex::new(StoreInner::default()),
-            hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            snapshot_evictions: AtomicU64::new(0),
-            checkpoints: true,
-        }
-    }
 }
 
 impl TraceStore {
@@ -531,17 +514,6 @@ impl TraceStore {
     #[must_use]
     pub fn new() -> Self {
         TraceStore::default()
-    }
-
-    /// Creates an empty store whose recordings skip machine checkpoints —
-    /// cheaper when no consumer fast-forwards (e.g. the sequential
-    /// [`crate::CampaignRunner`] path behind a throwaway store).
-    #[must_use]
-    pub fn without_checkpoints() -> Self {
-        TraceStore {
-            checkpoints: false,
-            ..TraceStore::default()
-        }
     }
 
     /// Attaches a persistence backend: spills the current in-memory entries
@@ -727,13 +699,7 @@ impl TraceStore {
         let recorded = {
             let _span =
                 secbranch_obs::span_with("reference", || format!("{} {}", key.artifact, entry));
-            Arc::new(record_reference_impl(
-                source,
-                entry,
-                args,
-                max_steps,
-                self.checkpoints,
-            )?)
+            Arc::new(record_reference(source, entry, args, max_steps)?)
         };
         if let Some(backend) = &backend {
             backend.store_trace(key, &recorded);

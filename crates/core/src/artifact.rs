@@ -1,15 +1,10 @@
 //! The [`Artifact`]: one compilation, many executions and fault campaigns.
 
-use std::sync::Arc;
-
 use secbranch_armv7m::{ExecResult, Simulator};
 use secbranch_campaign::{
-    CampaignReport, CampaignRunner, CellKey, FaultModel, GridBackend, InstructionSkip,
-    RegisterBitFlip, SharedModule, TraceKey, TraceStore,
+    CampaignReport, FaultModel, MatrixExecutor, MatrixJob, SharedModule, TraceKey, TraceStore,
 };
 use secbranch_codegen::CompiledModule;
-use secbranch_fault::SweepReport;
-use secbranch_store::GridStore;
 
 use crate::{BuildError, Measurement, Provenance, SimConfig};
 
@@ -211,9 +206,9 @@ impl Artifact {
     /// Runs one fault model's campaign against `entry(args)` on this
     /// artifact, using all available parallelism.
     ///
-    /// Each injection executes on a fresh simulator over the `Arc`-shared
-    /// compilation; the report carries aggregate counters, per-location
-    /// attribution, a text heatmap and deterministic JSON.
+    /// The campaign runs on the [`MatrixExecutor`] as a one-cell matrix; the
+    /// report carries aggregate counters, per-location attribution, a text
+    /// heatmap and deterministic JSON.
     ///
     /// # Errors
     ///
@@ -226,141 +221,56 @@ impl Artifact {
         args: &[u32],
         model: &dyn FaultModel,
     ) -> Result<CampaignReport, BuildError> {
-        self.campaign_with(&CampaignRunner::new(), entry, args, model)
+        self.campaign_with(
+            &MatrixExecutor::new(),
+            &TraceStore::new(),
+            entry,
+            args,
+            model,
+        )
     }
 
-    /// Like [`Artifact::campaign`], with an explicitly configured runner
-    /// (e.g. a fixed thread count for determinism tests).
+    /// Like [`Artifact::campaign`], on a caller-configured `executor` (e.g.
+    /// a fixed thread count) and resolving the reference execution through
+    /// a caller-owned `store`: N campaigns on one artifact (different fault
+    /// models, repeated runs) record the reference trace once. Keys are
+    /// derived via [`Artifact::trace_key`], so a store can safely serve many
+    /// artifacts at once.
     ///
-    /// Routed through a throwaway [`TraceStore`]: a campaign always resolves
-    /// its reference execution via the store interface, whether or not the
-    /// caller keeps a store around to share recordings across campaigns
-    /// (for that, use [`Artifact::campaign_with_store`]). The throwaway
-    /// store records without resume checkpoints — the sequential runner
-    /// never fast-forwards, so snapshots would be pure overhead.
+    /// To persist, attach a `GridStore` to `store`
+    /// ([`TraceStore::attach_backend`]): traces then warm-start from disk
+    /// and flush back, and the finished report is served from — and written
+    /// to — the grid's cell cache keyed by
+    /// `(artifact fingerprint, model fingerprint, entry, args)`. A warm cell
+    /// returns without a single simulated instruction, byte-identical to a
+    /// fresh computation.
     ///
     /// # Errors
     ///
     /// See [`Artifact::campaign`].
     pub fn campaign_with(
         &self,
-        runner: &CampaignRunner,
-        entry: &str,
-        args: &[u32],
-        model: &dyn FaultModel,
-    ) -> Result<CampaignReport, BuildError> {
-        self.campaign_with_store(
-            runner,
-            &TraceStore::without_checkpoints(),
-            entry,
-            args,
-            model,
-            None,
-        )
-    }
-
-    /// Like [`Artifact::campaign_with`], resolving the reference execution
-    /// through a caller-owned [`TraceStore`]: N campaigns on one artifact
-    /// (different fault models, repeated runs) record the reference trace
-    /// once. Keys are derived via [`Artifact::trace_key`], so a store can
-    /// safely serve many artifacts at once.
-    ///
-    /// With `grid: Some(store)`, the campaign additionally persists: the
-    /// [`GridStore`] is attached behind `store` (traces warm-start from
-    /// disk and flush back), and the finished report itself is served from
-    /// — and written to — the grid's cell cache keyed by
-    /// `(artifact fingerprint, model fingerprint, entry, args)`. A warm
-    /// cell returns without a single simulated instruction, byte-identical
-    /// to a fresh computation.
-    ///
-    /// # Errors
-    ///
-    /// See [`Artifact::campaign`].
-    pub fn campaign_with_store(
-        &self,
-        runner: &CampaignRunner,
+        executor: &MatrixExecutor,
         store: &TraceStore,
         entry: &str,
         args: &[u32],
         model: &dyn FaultModel,
-        grid: Option<&Arc<GridStore>>,
     ) -> Result<CampaignReport, BuildError> {
-        let cell_key = grid.map(|_| {
-            CellKey::new(
-                self.artifact_fingerprint(),
-                model.fingerprint(),
-                entry,
-                args,
-            )
-        });
-        if let (Some(grid), Some(key)) = (grid, &cell_key) {
-            if let Some(report) = grid.get_cell(key) {
-                return Ok(report);
-            }
-            store.attach_backend(Arc::clone(grid) as Arc<dyn GridBackend>);
-        }
         let source = SharedModule {
             compiled: &self.compiled,
             memory_size: self.sim.memory_size,
         };
-        let recorded = store
-            .reference(
-                &self.trace_key(entry, args),
-                &source,
-                entry,
-                args,
-                self.sim.max_steps,
-            )
+        let job = MatrixJob {
+            source: &source,
+            key: self.trace_key(entry, args),
+            entry: entry.to_string(),
+            args: args.to_vec(),
+            max_steps: self.sim.max_steps,
+            model,
+        };
+        let mut results = executor
+            .run(std::slice::from_ref(&job), store)
             .map_err(BuildError::Simulation)?;
-        let report =
-            runner.run_recorded(&source, entry, args, self.sim.max_steps, model, &recorded);
-        if let (Some(grid), Some(key)) = (grid, &cell_key) {
-            grid.put_cell(key, &report);
-        }
-        Ok(report)
-    }
-
-    /// Runs the exhaustive single-instruction-skip sweep of the fault
-    /// analysis on this artifact: every dynamic instruction of the reference
-    /// execution of `entry(args)` is skipped once.
-    ///
-    /// Routed through the campaign engine ([`Artifact::campaign`] with
-    /// [`InstructionSkip`]): a failing reference returns its error without a
-    /// single injection or worker spawned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::Simulation`] if the fault-free reference run
-    /// fails (individual faulted runs are classified, not propagated).
-    pub fn skip_sweep(&self, entry: &str, args: &[u32]) -> Result<SweepReport, BuildError> {
-        Ok(SweepReport::from(&self.campaign(
-            entry,
-            args,
-            &InstructionSkip,
-        )?))
-    }
-
-    /// Runs a Monte-Carlo register-bit-flip campaign with `trials`
-    /// injections and a deterministic `seed` on this artifact.
-    ///
-    /// Routed through the campaign engine ([`Artifact::campaign`] with
-    /// [`RegisterBitFlip`]); a given seed reproduces the historical numbers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::Simulation`] if the fault-free reference run
-    /// fails.
-    pub fn register_flip_campaign(
-        &self,
-        entry: &str,
-        args: &[u32],
-        seed: u64,
-        trials: u64,
-    ) -> Result<SweepReport, BuildError> {
-        Ok(SweepReport::from(&self.campaign(
-            entry,
-            args,
-            &RegisterBitFlip { trials, seed },
-        )?))
+        Ok(results.pop().expect("one job in, one result out").report)
     }
 }

@@ -14,10 +14,10 @@
 //! * [`Artifact`] — the output of one compilation. One artifact feeds any
 //!   number of executions ([`Artifact::run`]), measurements
 //!   ([`Artifact::measure`]) and fault campaigns ([`Artifact::campaign`]
-//!   with any [`campaign::FaultModel`], plus the historical
-//!   [`Artifact::skip_sweep`]/[`Artifact::register_flip_campaign`] shapes)
-//!   without recompiling. Fresh simulators `Arc`-share the compiled code,
-//!   so a campaign of millions of injections never copies the program.
+//!   with any [`campaign::FaultModel`], run on the
+//!   [`campaign::MatrixExecutor`]) without recompiling. Fresh simulators
+//!   `Arc`-share the compiled code, so a campaign of millions of injections
+//!   never copies the program.
 //! * [`Session`] — the matrix runner: workloads × pipelines in one
 //!   [`Session::run_matrix`] call, with an internal build cache keyed by
 //!   (module name, pipeline fingerprint) and a structured, serialisable
@@ -39,10 +39,11 @@
 //! [`fault`], [`programs`], [`store`], [`obs`]).
 //!
 //! Security matrices and campaigns optionally persist their work: pass a
-//! [`store::GridStore`] to [`Session::security_matrix_with`] (or
-//! [`Artifact::campaign_with_store`]) and reference traces plus finished
-//! campaign cells survive the process — a warm re-run of an unchanged grid
-//! does zero simulation and returns byte-identical reports.
+//! [`store::GridStore`] to [`Session::security_matrix_with`] (or attach one
+//! to the [`campaign::TraceStore`] given to [`Artifact::campaign_with`])
+//! and reference traces plus finished campaign cells survive the process —
+//! a warm re-run of an unchanged grid does zero simulation and returns
+//! byte-identical reports.
 //!
 //! # Example: protecting a password check
 //!

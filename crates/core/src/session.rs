@@ -447,10 +447,11 @@ impl Session {
     }
 
     /// The sequential reference implementation of the security matrix: cells
-    /// run strictly one after another through [`Artifact::campaign_with`],
-    /// each recording its own reference trace — the shape the matrix
-    /// executor is byte-compared against (and the baseline of the `campaign
-    /// --matrix` benchmark).
+    /// run strictly one after another through the [`CampaignRunner`]
+    /// oracle, each recording its own reference trace — the shape the
+    /// matrix executor is byte-compared against (and the baseline of the
+    /// `campaign --matrix` benchmark). It never touches the executor or the
+    /// session's trace store.
     ///
     /// Prefer [`Session::security_matrix`]; this path exists because the
     /// executor's output-equality invariant needs an independent
@@ -482,10 +483,19 @@ impl Session {
                 let artifact = self
                     .cached_artifact(&workload.name, &workload.module, pipeline)?
                     .clone();
+                let source = SharedModule {
+                    compiled: artifact.compiled(),
+                    memory_size: artifact.sim().memory_size,
+                };
                 for (model, model_name) in models.iter().zip(&model_names) {
                     let cell_started = Instant::now();
-                    let report =
-                        artifact.campaign_with(runner, &workload.entry, &workload.args, *model)?;
+                    let report = runner.run(
+                        &source,
+                        &workload.entry,
+                        &workload.args,
+                        artifact.sim().max_steps,
+                        *model,
+                    )?;
                     stats
                         .cell_compute_micros
                         .push(cell_started.elapsed().as_micros() as u64);

@@ -1,31 +1,19 @@
-//! Fault models, injection campaigns and outcome classification.
+//! Arithmetic-level fault simulation of the encoded condition computation.
 //!
-//! Two complementary campaign styles reproduce the paper's security analysis
-//! (Section VI):
+//! [`condition`] reproduces the paper's coding-theory result (Section VI):
+//! `k` bit flips are placed at random locations over all intermediate values
+//! of Algorithm 1/2 and the outcome is classified (detected / masked /
+//! undetected decision flip). This regenerates the "error detectability is
+//! reduced to 3 bits … with four bits the rate of an undetected condition
+//! flip is 0.0002 %" result.
 //!
-//! * [`condition`] — *arithmetic-level* fault simulation of the encoded
-//!   condition computation: `k` bit flips are placed at random locations over
-//!   all intermediate values of Algorithm 1/2 and the outcome is classified
-//!   (detected / masked / undetected decision flip). This regenerates the
-//!   "error detectability is reduced to 3 bits … with four bits the rate of
-//!   an undetected condition flip is 0.0002 %" result.
-//! * [`simulation`] — *instruction-level* fault injection on the ARMv7-M
-//!   simulator through [`secbranch_armv7m::FaultHook`]s: single instruction
-//!   skips and register bit flips swept over the dynamic execution of a
-//!   compiled workload, with outcomes classified by comparing against the
-//!   fault-free run and the CFI verdict. These sweeps are thin adapters over
-//!   the general multi-model campaign engine in `secbranch-campaign`, which
-//!   adds double skips, memory flips, branch inversion, multi-threaded
-//!   execution and per-location attribution.
+//! Instruction-level campaigns on the ARMv7-M simulator (instruction skips,
+//! register and memory bit flips, branch inversion) live in
+//! `secbranch-campaign` and run through `Artifact::campaign`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod condition;
-pub mod simulation;
 
 pub use condition::{ConditionCampaign, ConditionOutcomeCounts, FaultLocation};
-pub use simulation::{
-    InstructionSkipSweep, Outcome, OutcomeCounts, RegisterBitFlipCampaign, SweepReport, TraceKey,
-    TraceStore,
-};

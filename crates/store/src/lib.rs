@@ -52,9 +52,9 @@
 //! [`GridStore`] implements
 //! [`secbranch_campaign::GridBackend`]; attach it to a
 //! [`secbranch_campaign::TraceStore`] (the facade's
-//! `Session::security_matrix_with` and `Artifact::campaign_with_store` take
-//! an `Option<&Arc<GridStore>>` and do this for you) and both record
-//! families flow automatically.
+//! `Session::security_matrix_with` takes an `Option<&Arc<GridStore>>` and
+//! does this for you; `Artifact::campaign_with` runs on whatever store it is
+//! given) and both record families flow automatically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -26,13 +26,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Instruction-skip sweep on the compiled integer compare: the variant
     // is compiled once into an artifact, and the whole sweep (one faulted
     // execution per dynamic instruction) runs on that artifact.
+    use secbranch::campaign::{BranchInversion, FaultModel, InstructionSkip};
     let module = integer_compare_module();
     println!("\nsingle-instruction-skip sweep (integer compare, unequal inputs):");
     for variant in [ProtectionVariant::Unprotected, ProtectionVariant::AnCode] {
         let artifact = Pipeline::for_variant(variant)
             .with_max_steps(1_000_000)
             .build(&module)?;
-        let report = artifact.skip_sweep("integer_compare", &[41, 999])?;
+        let report = artifact.campaign("integer_compare", &[41, 999], &InstructionSkip)?;
         println!(
             "  {:<12} injections {:>3}: masked {:>3}, detected {:>3}, crashed {:>3}, successful attacks {:>3}",
             variant.label(),
@@ -47,7 +48,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. The general campaign engine: the same artifacts attacked by the
     // paper's core fault model — every dynamic conditional branch forced
     // the wrong way — with per-location attribution of each escape.
-    use secbranch::campaign::BranchInversion;
     println!("\nconditional-branch-inversion campaign (the paper's core attacker):");
     for variant in [ProtectionVariant::Unprotected, ProtectionVariant::AnCode] {
         let artifact = Pipeline::for_variant(variant)
@@ -73,7 +73,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // flattened onto one shared worker pool, and the reference trace of
     // each artifact is recorded once no matter how many models attack it
     // (the stats show the trace-cache doing its job).
-    use secbranch::campaign::{FaultModel, InstructionSkip};
     use secbranch::{Session, Workload};
     println!("\nsecurity matrix on the global fault-space scheduler:");
     let workloads = [Workload::new(

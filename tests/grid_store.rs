@@ -10,9 +10,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use secbranch::campaign::{
-    CampaignRunner, FaultModel, InstructionSkip, MatrixExecutor, RegisterBitFlip,
+    BranchInversion, CampaignRunner, DoubleInstructionSkip, FaultModel, GridBackend,
+    InstructionSkip, MatrixExecutor, MemoryBitFlip, RegisterBitFlip, SharedModule, TraceStore,
 };
-use secbranch::programs::{crc32_table_module, integer_compare_module, pin_retry_module};
+use secbranch::programs::{
+    crc32_table_module, integer_compare_module, password_check_module, pin_retry_module,
+};
 use secbranch::store::GridStore;
 use secbranch::{Pipeline, ProtectionVariant, SecurityReport, Session, Workload};
 
@@ -221,9 +224,10 @@ fn checkpoint_budget_is_output_invariant() {
     );
 }
 
-/// `Artifact::campaign_with_store` with a grid: the first campaign computes
-/// and persists, a second artifact compiled independently serves the cell
-/// from disk — byte-identical, without touching a simulator.
+/// `Artifact::campaign_with` over a store with a grid attached: the first
+/// campaign computes and persists, a second artifact compiled independently
+/// serves the cell from disk — byte-identical, without touching a
+/// simulator.
 #[test]
 fn artifact_campaigns_persist_and_reload_cells() {
     let dir = TempDir::new("artifact");
@@ -235,13 +239,14 @@ fn artifact_campaigns_persist_and_reload_cells() {
         trials: 60,
         seed: 0x5EED,
     };
-    let runner = CampaignRunner::new().with_threads(2);
+    let executor = MatrixExecutor::new().with_threads(2);
 
     let grid = Arc::new(GridStore::open(&dir.0).expect("opens"));
     let artifact = pipeline.build(&module).expect("builds");
-    let store = secbranch::campaign::TraceStore::new();
+    let store = TraceStore::new();
+    store.attach_backend(Arc::clone(&grid) as Arc<dyn GridBackend>);
     let first = artifact
-        .campaign_with_store(&runner, &store, "crc32_check", &[], &model, Some(&grid))
+        .campaign_with(&executor, &store, "crc32_check", &[], &model)
         .expect("computes");
     assert_eq!(grid.stats().cell_misses, 1, "first probe missed");
 
@@ -249,16 +254,10 @@ fn artifact_campaigns_persist_and_reload_cells() {
     // fingerprint) over a freshly opened store handle.
     let again = pipeline.build(&module).expect("rebuilds");
     let warm_grid = Arc::new(GridStore::open(&dir.0).expect("reopens"));
-    let warm_store = secbranch::campaign::TraceStore::new();
+    let warm_store = TraceStore::new();
+    warm_store.attach_backend(Arc::clone(&warm_grid) as Arc<dyn GridBackend>);
     let reloaded = again
-        .campaign_with_store(
-            &runner,
-            &warm_store,
-            "crc32_check",
-            &[],
-            &model,
-            Some(&warm_grid),
-        )
+        .campaign_with(&executor, &warm_store, "crc32_check", &[], &model)
         .expect("reloads");
     assert_eq!(first, reloaded, "structured equality");
     assert_eq!(first.to_json(), reloaded.to_json(), "byte-identical JSON");
@@ -274,18 +273,114 @@ fn artifact_campaigns_persist_and_reload_cells() {
         seed: 0x0BAD,
     };
     let fresh = again
-        .campaign_with_store(
-            &runner,
-            &warm_store,
-            "crc32_check",
-            &[],
-            &other,
-            Some(&warm_grid),
-        )
+        .campaign_with(&executor, &warm_store, "crc32_check", &[], &other)
         .expect("computes the other configuration");
     assert_ne!(
         first.to_json(),
         fresh.to_json(),
         "different seeds sample different fault spaces"
     );
+}
+
+/// The `Artifact` route and the `CampaignRunner` oracle agree, report for
+/// report and byte for byte: every shipped model, on two workloads, on the
+/// unprotected and the prototype build, at 1 and 2 executor threads, with
+/// no grid, a cold grid and a warm grid behind the trace store.
+#[test]
+fn artifact_campaigns_match_the_runner_oracle() {
+    let workloads = [
+        Workload::new(
+            "integer compare",
+            integer_compare_module(),
+            "integer_compare",
+            &[41, 999],
+        ),
+        Workload::new(
+            "password check",
+            password_check_module(8),
+            "password_check",
+            &[],
+        ),
+    ];
+    let models: Vec<Box<dyn FaultModel>> = vec![
+        Box::new(InstructionSkip),
+        Box::new(DoubleInstructionSkip {
+            max_injections: 300,
+            seed: 0x2FA17,
+        }),
+        Box::new(RegisterBitFlip {
+            trials: 200,
+            seed: 0xDEAD_BEEF,
+        }),
+        Box::new(MemoryBitFlip {
+            trials: 200,
+            seed: 0x0BAD_CAFE,
+        }),
+        Box::new(BranchInversion),
+    ];
+    let oracle = CampaignRunner::new().with_threads(1);
+    for threads in [1, 2] {
+        let executor = MatrixExecutor::new().with_threads(threads);
+        let dir = TempDir::new("oracle");
+        let cold_grid = Arc::new(GridStore::open(&dir.0).expect("opens"));
+        for workload in &workloads {
+            for variant in [ProtectionVariant::Unprotected, ProtectionVariant::AnCode] {
+                let artifact = Pipeline::for_variant(variant)
+                    .with_max_steps(200_000)
+                    .build(&workload.module)
+                    .expect("builds");
+                let source = SharedModule {
+                    compiled: artifact.compiled(),
+                    memory_size: artifact.sim().memory_size,
+                };
+                let plain = TraceStore::new();
+                let cold = TraceStore::new();
+                cold.attach_backend(Arc::clone(&cold_grid) as Arc<dyn GridBackend>);
+                for model in &models {
+                    let expected = oracle
+                        .run(
+                            &source,
+                            &workload.entry,
+                            &workload.args,
+                            artifact.sim().max_steps,
+                            model.as_ref(),
+                        )
+                        .expect("oracle runs");
+                    let warm_grid = Arc::new(GridStore::open(&dir.0).expect("reopens"));
+                    let warm = TraceStore::new();
+                    warm.attach_backend(Arc::clone(&warm_grid) as Arc<dyn GridBackend>);
+                    for (route, store) in [("no grid", &plain), ("cold", &cold), ("warm", &warm)] {
+                        let report = artifact
+                            .campaign_with(
+                                &executor,
+                                store,
+                                &workload.entry,
+                                &workload.args,
+                                model.as_ref(),
+                            )
+                            .expect("campaign runs");
+                        let context = format!(
+                            "{} / {} / {} / {threads} threads / {route}",
+                            workload.name,
+                            variant.label(),
+                            model.name()
+                        );
+                        assert_eq!(report, expected, "{context}");
+                        assert_eq!(report.to_json(), expected.to_json(), "{context}");
+                    }
+                    assert_eq!(warm_grid.stats().cell_hits, 1, "the warm cell is served");
+                    assert!(warm.is_empty(), "a warm cell needs no reference");
+                }
+                // Five models on one artifact share one recording per store.
+                assert_eq!((plain.misses(), plain.hits()), (1, 4));
+                assert_eq!(cold.misses(), 1);
+            }
+        }
+        let stats = cold_grid.stats();
+        assert_eq!(
+            (stats.cell_hits, stats.cell_misses),
+            (0, 20),
+            "every cold cell computed"
+        );
+    }
 }
