@@ -1,7 +1,8 @@
 //! End-to-end daemon tests: byte-identity of daemon-served grids against
 //! local runs, warm serving with zero simulation, single-flight under
-//! concurrent clients, protocol-version rejection, and per-request
-//! degradation.
+//! concurrent clients, protocol-version rejection, per-request
+//! degradation, and golden key lists of every stats serialisation and
+//! `METRICS` family.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,9 +11,11 @@ use std::thread;
 use std::time::Duration;
 
 use secbranch::campaign::{FaultModel, MatrixExecutor};
-use secbranch::{SecurityReport, Session};
+use secbranch::store::StoreStats;
+use secbranch::{MatrixStats, SecurityReport, Session};
 use secbranch_gridd::{
     catalog, protocol, ClientError, DaemonConfig, GridClient, GridDaemon, GridRequest, Served,
+    StatsSnapshot,
 };
 
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -468,4 +471,133 @@ fn unix_socket_transport_serves_and_cleans_up() {
 
     daemon.stop();
     assert!(!socket.exists(), "socket file is removed on shutdown");
+}
+
+/// Every key of a stats JSON document in document order, nested objects
+/// included, joined by single spaces. Stats documents hold no string
+/// values, so every quoted string is a key.
+fn json_keys(json: &str) -> String {
+    let keys: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
+    keys.join(" ")
+}
+
+const MATRIX_STATS_KEYS: &str =
+    "threads trace_hits trace_disk_hits trace_misses cell_hits cell_misses \
+    total_wall_micros cell_compute_micros store_checkpoint_bytes \
+    store_checkpoint_evictions snapshot_restores suffix_steps_saved \
+    decoded_programs decoded_uops decode_micros";
+
+const STORE_STATS_KEYS: &str =
+    "trace_hits trace_misses cell_hits cell_misses writes write_skips write_errors corrupt_dropped \
+    migrated";
+
+const STATS_SNAPSHOT_KEYS: &str =
+    "protocol_version requests cells_requested warm_cells computed_cells \
+    coalesced_cells recordings request_errors version_rejects queue_depth \
+    in_flight workers queue_capacity pool_submitted pool_completed \
+    pool_errored pool_expired pool_compute_micros trace_hits trace_disk_hits \
+    trace_misses decoded_programs decode_micros snapshot_restores \
+    suffix_steps_saved recent_cell_micros store";
+
+/// `# TYPE` lines of the exposition of [`cold_then_warm`]'s daemon, sorted.
+const METRIC_FAMILIES: [&str; 39] = [
+    "secbranch_cell_compute_micros histogram",
+    "secbranch_gridd_cells_requested_total counter",
+    "secbranch_gridd_coalesced_cells_total counter",
+    "secbranch_gridd_computed_cells_total counter",
+    "secbranch_gridd_decode_micros_total counter",
+    "secbranch_gridd_decoded_programs_total counter",
+    "secbranch_gridd_recordings_total counter",
+    "secbranch_gridd_request_errors_total counter",
+    "secbranch_gridd_requests_total counter",
+    "secbranch_gridd_snapshot_restores_total counter",
+    "secbranch_gridd_suffix_steps_saved_total counter",
+    "secbranch_gridd_version_rejects_total counter",
+    "secbranch_gridd_warm_cells_total counter",
+    "secbranch_pool_capacity gauge",
+    "secbranch_pool_completed_total counter",
+    "secbranch_pool_compute_micros_total counter",
+    "secbranch_pool_errored_total counter",
+    "secbranch_pool_expired_total counter",
+    "secbranch_pool_in_flight gauge",
+    "secbranch_pool_queued gauge",
+    "secbranch_pool_submitted_total counter",
+    "secbranch_pool_workers gauge",
+    "secbranch_store_cell_hits_total counter",
+    "secbranch_store_cell_misses_total counter",
+    "secbranch_store_corrupt_dropped_total counter",
+    "secbranch_store_migrated_total counter",
+    "secbranch_store_trace_hits_total counter",
+    "secbranch_store_trace_misses_total counter",
+    "secbranch_store_write_errors_total counter",
+    "secbranch_store_write_skips_total counter",
+    "secbranch_store_writes_total counter",
+    "secbranch_trace_store_checkpoint_bytes gauge",
+    "secbranch_trace_store_checkpoint_evictions_total counter",
+    "secbranch_trace_store_disk_hits_total counter",
+    "secbranch_trace_store_entries gauge",
+    "secbranch_trace_store_hits_total counter",
+    "secbranch_trace_store_misses_total counter",
+    "secbranch_trace_store_snapshot_bytes gauge",
+    "secbranch_trace_store_snapshot_evictions_total counter",
+];
+
+/// A daemon over `store` that has served one cold and one warm request.
+fn cold_then_warm(store: &TempDir) -> (RunningDaemon, GridClient) {
+    let daemon = RunningDaemon::start(DaemonConfig {
+        workers: 2,
+        store_dir: Some(store.0.clone()),
+        ..DaemonConfig::default()
+    });
+    let mut client = daemon.client();
+    let grid = request(
+        &["integer_compare"],
+        &["unprotected"],
+        &["skip", "double-skip"],
+        50,
+    );
+    let cold = client.request_grid(&grid, |_| {}).expect("cold serves");
+    assert_eq!(cold.computed_cells, 2);
+    let warm = client.request_grid(&grid, |_| {}).expect("warm serves");
+    assert_eq!(warm.warm_cells, 2);
+    (daemon, client)
+}
+
+#[test]
+fn stats_json_keys_and_metric_families_are_pinned() {
+    let matrix = MatrixStats {
+        cell_compute_micros: vec![1, 2],
+        ..MatrixStats::default()
+    };
+    assert_eq!(json_keys(&matrix.to_json()), MATRIX_STATS_KEYS);
+    assert_eq!(
+        json_keys(&StoreStats::default().to_json()),
+        STORE_STATS_KEYS
+    );
+    let with_store = format!("{STATS_SNAPSHOT_KEYS} {STORE_STATS_KEYS}");
+    for (store, keys) in [
+        (None, STATS_SNAPSHOT_KEYS),
+        (Some(StoreStats::default()), &with_store),
+    ] {
+        let snapshot = StatsSnapshot {
+            recent_cell_micros: vec![3, 4],
+            store,
+            ..StatsSnapshot::default()
+        };
+        assert_eq!(json_keys(&snapshot.to_json()), keys);
+    }
+
+    let store = TempDir::new("golden");
+    let (daemon, mut client) = cold_then_warm(&store);
+    let exposition = client.metrics().expect("metrics serve");
+    let mut families: Vec<&str> = exposition
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .collect();
+    families.sort_unstable();
+    assert_eq!(families, METRIC_FAMILIES);
+    let json = client.stats().expect("stats serve").to_json();
+    assert_eq!(json_keys(&json), with_store);
+    assert!(json.starts_with("{\"protocol_version\":3,"));
+    daemon.stop();
 }
