@@ -35,6 +35,7 @@ use secbranch::campaign::{
     BranchInversion, CampaignRunner, DoubleInstructionSkip, FaultModel, InstructionSkip,
     MatrixExecutor, MemoryBitFlip, RegisterBitFlip,
 };
+use secbranch::obs::Field;
 use secbranch::programs::{
     crc32_table_module, integer_compare_module, memcmp_module, password_check_module,
     pin_retry_module,
@@ -603,34 +604,41 @@ fn compact_store(grid: &Arc<GridStore>, options: &Options) {
     );
 }
 
-/// One executor pass of the `--matrix` benchmark, condensed for the JSON
-/// and text summaries.
-struct PassSummary {
-    wall_micros: u64,
-    trace_hits: u64,
-    trace_disk_hits: u64,
-    trace_misses: u64,
-    cell_hits: u64,
-    cell_misses: u64,
-    /// Reference traces the pass's session actually recorded (a
-    /// before/after delta of the session trace store's miss counter).
-    /// `trace_misses` above only counts recordings the executor could
-    /// *attribute to a cell* — a recording behind a served-warm cell is
-    /// invisible to it, so warmth is asserted on this counter too.
-    recordings: u64,
+secbranch::obs::counter_set! {
+    /// One executor pass of the `--matrix` benchmark, condensed for the
+    /// JSON and text summaries.
+    #[derive(Default)]
+    struct PassSummary {
+        /// End-to-end wall time of the pass.
+        wall_micros: u64,
+        /// Reference traces served from memory.
+        trace_hits: u64,
+        /// Reference traces loaded from the store.
+        trace_disk_hits: u64,
+        /// Reference traces recorded for a cell.
+        trace_misses: u64,
+        /// Cells served from the store.
+        cell_hits: u64,
+        /// Cells that executed their fault space.
+        cell_misses: u64,
+        /// Reference traces the pass's session actually recorded (a
+        /// before/after delta of the session trace store's miss counter).
+        /// `trace_misses` above only counts recordings the executor could
+        /// *attribute to a cell* — a recording behind a served-warm cell is
+        /// invisible to it, so warmth is asserted on this counter too.
+        recordings: u64,
+    }
 }
 
 impl PassSummary {
     fn of(stats: &MatrixStats, recordings: u64) -> PassSummary {
-        PassSummary {
+        let mut pass = PassSummary {
             wall_micros: stats.total_wall_micros,
-            trace_hits: stats.trace_hits,
-            trace_disk_hits: stats.trace_disk_hits,
-            trace_misses: stats.trace_misses,
-            cell_hits: stats.cell_hits,
-            cell_misses: stats.cell_misses,
             recordings,
-        }
+            ..PassSummary::default()
+        };
+        secbranch::obs::accumulate(&mut pass, stats);
+        pass
     }
 
     /// Fully warm: nothing recorded (per-cell attribution *and* the
@@ -640,20 +648,6 @@ impl PassSummary {
             && self.recordings == 0
             && self.cell_hits > 0
             && self.cell_misses == 0
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"wall_micros\":{},\"trace_hits\":{},\"trace_disk_hits\":{},\
-             \"trace_misses\":{},\"cell_hits\":{},\"cell_misses\":{},\"recordings\":{}}}",
-            self.wall_micros,
-            self.trace_hits,
-            self.trace_disk_hits,
-            self.trace_misses,
-            self.cell_hits,
-            self.cell_misses,
-            self.recordings,
-        )
     }
 }
 
@@ -700,14 +694,14 @@ fn run_matrix_benchmark(
             models,
         )
         .unwrap_or_else(|e| fail("sequential security matrix", &e));
-    let misses_before = session.trace_store().misses();
+    let misses_before = session.trace_store().stats().misses;
     let matrix = session
         .security_matrix_with(executor, &workloads, pipelines, models, grid)
         .unwrap_or_else(|e| fail("matrix security matrix", &e));
     assert_identical(&sequential, &matrix, "matrix executor");
     let first = PassSummary::of(
         &matrix.stats,
-        session.trace_store().misses() - misses_before,
+        session.trace_store().stats().misses - misses_before,
     );
 
     // With a store: a second pass from a *fresh* session. Its in-memory
@@ -719,7 +713,7 @@ fn run_matrix_benchmark(
             .security_matrix_with(executor, &workloads, pipelines, models, Some(grid))
             .unwrap_or_else(|e| fail("warm security matrix", &e));
         assert_identical(&sequential, &warm_report, "warm matrix executor");
-        PassSummary::of(&warm_report.stats, fresh.trace_store().misses())
+        PassSummary::of(&warm_report.stats, fresh.trace_store().stats().misses)
     });
 
     if options.expect_warm && !first.is_warm() {
@@ -759,12 +753,11 @@ fn run_matrix_benchmark(
         .collect();
 
     if options.json {
-        let cell_micros: Vec<String> = matrix
+        let mut cell_micros = String::new();
+        matrix
             .stats
             .cell_compute_micros
-            .iter()
-            .map(u64::to_string)
-            .collect();
+            .write_json(&mut cell_micros);
         let per_model_json = if options.per_model {
             let entries: Vec<String> = per_model
                 .iter()
@@ -798,7 +791,7 @@ fn run_matrix_benchmark(
              \"sequential\":{{\"wall_micros\":{},\"trace_hits\":0,\"trace_misses\":{}}},\
              \"matrix\":{{\"wall_micros\":{},\"trace_hits\":{},\"trace_disk_hits\":{},\
              \"trace_misses\":{},\"cell_hits\":{},\"cell_misses\":{},\
-             \"cell_compute_micros\":[{}],\"snapshot_restores\":{},\
+             \"cell_compute_micros\":{},\"snapshot_restores\":{},\
              \"suffix_steps_saved\":{},\"decoded_programs\":{},\"decoded_uops\":{},\
              \"decode_micros\":{},\"compute_histogram\":{}{per_model_json}}},\
              \"store\":{store_json},\
@@ -821,7 +814,7 @@ fn run_matrix_benchmark(
             first.trace_misses,
             first.cell_hits,
             first.cell_misses,
-            cell_micros.join(","),
+            cell_micros,
             matrix.stats.snapshot_restores,
             matrix.stats.suffix_steps_saved,
             matrix.stats.decoded_programs,
@@ -904,12 +897,8 @@ mod tests {
     fn warm_pass() -> PassSummary {
         PassSummary {
             wall_micros: 10,
-            trace_hits: 0,
-            trace_disk_hits: 0,
-            trace_misses: 0,
             cell_hits: 4,
-            cell_misses: 0,
-            recordings: 0,
+            ..PassSummary::default()
         }
     }
 

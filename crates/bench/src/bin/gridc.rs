@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 use std::process::exit;
 use std::time::{Duration, Instant};
 
+use secbranch::obs::{percentile, CounterSet, Field, Row};
 use secbranch_gridd::{protocol::StatsSnapshot, DoneFrame, GridClient, GridRequest};
 
 fn usage(message: &str) -> ! {
@@ -312,73 +313,39 @@ fn rate(part: u64, whole: u64) -> String {
     }
 }
 
-/// `--stats` without `--json`: the snapshot as a table a human can read at
-/// a glance — serving and pool state, cache hit rates, and compute-time
-/// percentiles over the daemon's recent-cell window.
+/// `--stats` without `--json`: every counter of the snapshot (and of the
+/// store, when attached) on its own line in table order — so a new counter
+/// shows up here without touching this function — then the cache hit rates
+/// and compute-time percentiles over the daemon's recent-cell window.
 fn render_stats_table(s: &StatsSnapshot) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "grid daemon statistics (protocol v{})",
-        s.protocol_version
-    );
-    let _ = writeln!(
-        out,
-        "  requests         {:>10}   ({} refused/failed, {} version rejects)",
-        s.requests, s.request_errors, s.version_rejects,
-    );
-    let _ = writeln!(
-        out,
-        "  cells            {:>10}   ({} warm, {} computed, {} coalesced)",
-        s.cells_requested, s.warm_cells, s.computed_cells, s.coalesced_cells,
-    );
-    let _ = writeln!(
-        out,
-        "  pool             {:>10}   workers, {}/{} queued, {} in flight",
-        s.workers, s.queue_depth, s.queue_capacity, s.in_flight,
-    );
-    let _ = writeln!(
-        out,
-        "  pool jobs        {:>10}   submitted ({} completed, {} errored, {} expired)",
-        s.pool_submitted, s.pool_completed, s.pool_errored, s.pool_expired,
-    );
-    let _ = writeln!(
-        out,
-        "  cell hit rate    {:>10}   ({} of {} cells served without simulation)",
-        rate(s.warm_cells + s.coalesced_cells, s.cells_requested),
-        s.warm_cells + s.coalesced_cells,
-        s.cells_requested,
-    );
-    let trace_total = s.trace_hits + s.trace_disk_hits + s.trace_misses;
-    let _ = writeln!(
-        out,
-        "  trace hit rate   {:>10}   ({} memory + {} disk hits, {} recorded)",
-        rate(s.trace_hits + s.trace_disk_hits, trace_total),
-        s.trace_hits,
-        s.trace_disk_hits,
-        s.trace_misses,
-    );
-    let _ = writeln!(
-        out,
-        "  executor         {:>10}   snapshot restores, {} suffix steps saved, \
-         {} programs decoded ({} µs)",
-        s.snapshot_restores, s.suffix_steps_saved, s.decoded_programs, s.decode_micros,
-    );
+    let mut out = String::from("grid daemon statistics\n");
+    let mut line = |prefix: &str, row: &Row, field: &dyn Field| {
+        if let Some(value) = field.scalar() {
+            let _ = writeln!(out, "  {:<28}{value:>12}", format!("{prefix}{}", row.key));
+        }
+    };
+    s.visit(&mut |row, field| line("", row, field));
+    if let Some(store) = &s.store {
+        store.visit(&mut |row, field| line("store.", row, field));
+    }
+    let served_warm = s.warm_cells + s.coalesced_cells;
+    let trace_hits = s.trace_hits + s.trace_disk_hits;
     let mut recent = s.recent_cell_micros.clone();
     recent.sort_unstable();
     let _ = writeln!(
         out,
-        "  compute time     {:>10}   µs total; recent cells p50 {} / p95 {} / p99 {} µs \
-         (window of {})",
-        s.pool_compute_micros,
-        secbranch::obs::percentile(&recent, 0.50),
-        secbranch::obs::percentile(&recent, 0.95),
-        secbranch::obs::percentile(&recent, 0.99),
+        "  cell hit rate {} ({served_warm} of {} cells served without simulation)\n  \
+         trace hit rate {} ({trace_hits} of {} references not recorded)\n  \
+         recent cells p50 {} / p95 {} / p99 {} µs (window of {})",
+        rate(served_warm, s.cells_requested),
+        s.cells_requested,
+        rate(trace_hits, trace_hits + s.trace_misses),
+        trace_hits + s.trace_misses,
+        percentile(&recent, 0.50),
+        percentile(&recent, 0.95),
+        percentile(&recent, 0.99),
         recent.len(),
     );
-    if let Some(store) = &s.store {
-        let _ = writeln!(out, "  store            {}", store.to_json());
-    }
     out
 }
 

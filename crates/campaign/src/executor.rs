@@ -141,20 +141,47 @@ pub struct MatrixCellResult {
     /// cells overlap in wall time, so these sum to roughly
     /// `threads × elapsed wall time`). Zero on a cell hit.
     pub compute_micros: u64,
-    /// How many times this cell's workers restored a first-fault spine
-    /// snapshot instead of re-executing the shared prefix of a grouped
-    /// multi-fault batch.
-    pub snapshot_restores: u64,
-    /// Reference-suffix steps this cell *avoided* executing: liveness-pruned
-    /// injections answered without running, plus runs cut short at a
-    /// checkpoint once their state provably reconverged with the reference.
-    pub suffix_steps_saved: u64,
-    /// Runaway runs ended early by a divergence proof (an exact-state cycle
-    /// match or a verified affine loop acceleration) instead of burning the
-    /// remaining step budget.
-    pub loop_proofs: u64,
-    /// Steps those divergence proofs avoided executing.
-    pub loop_steps_saved: u64,
+    /// The executor's work-avoidance counters for this cell (zero on a
+    /// cell hit); the result reads as them, so `result.snapshot_restores`
+    /// works directly.
+    pub work: WorkCounters,
+}
+
+secbranch_obs::counter_set! {
+    /// Work the differential executor avoided, counted per shard and folded
+    /// per cell, per run and per daemon with `+=` (and
+    /// [`secbranch_obs::accumulate`] into sets that carry a subset of these
+    /// keys). Independent of timing, so exact across runs.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct WorkCounters {
+        /// Times a worker restored a first-fault spine snapshot instead of
+        /// re-executing the shared prefix of a grouped multi-fault batch.
+        snapshot_restores: u64,
+        /// Reference-suffix steps *avoided*: liveness-pruned injections
+        /// answered without running, plus runs cut short at a checkpoint
+        /// once their state provably reconverged with the reference.
+        suffix_steps_saved: u64,
+        /// Runaway runs ended early by a divergence proof (an exact-state
+        /// cycle match or a verified affine loop acceleration) instead of
+        /// burning the remaining step budget.
+        loop_proofs: u64,
+        /// Steps those divergence proofs avoided executing.
+        loop_steps_saved: u64,
+    }
+}
+
+impl std::ops::AddAssign for WorkCounters {
+    fn add_assign(&mut self, rhs: WorkCounters) {
+        secbranch_obs::accumulate(self, &rhs);
+    }
+}
+
+impl std::ops::Deref for MatrixCellResult {
+    type Target = WorkCounters;
+
+    fn deref(&self) -> &WorkCounters {
+        &self.work
+    }
 }
 
 impl MatrixCellResult {
@@ -192,10 +219,7 @@ struct Shard {
 #[derive(Debug, Default, Clone, Copy)]
 struct ShardStats {
     micros: u64,
-    snapshot_restores: u64,
-    suffix_steps_saved: u64,
-    loop_proofs: u64,
-    loop_steps_saved: u64,
+    work: WorkCounters,
 }
 
 /// What one shard produces: its outcomes in fault-space order plus its
@@ -495,7 +519,7 @@ impl CellExec<'_> {
         &self,
         sim: &mut Simulator,
         point: &FaultPoint,
-        stats: &mut ShardStats,
+        stats: &mut WorkCounters,
     ) -> (Outcome, u32) {
         if let Some(index) = self.suffix {
             if matches!(index.verdict(point), LivenessVerdict::Dead { .. }) {
@@ -541,7 +565,7 @@ impl CellExec<'_> {
         mut cursor: RunCursor,
         hook: &mut H,
         last_fault_step: u64,
-        stats: &mut ShardStats,
+        stats: &mut WorkCounters,
     ) -> (Outcome, u32) {
         let reference = &self.reference.trace.result;
         let checkpoints = &self.reference.checkpoints;
@@ -590,7 +614,7 @@ impl CellExec<'_> {
         sim: &mut Simulator,
         first: u64,
         points: &[FaultPoint],
-        stats: &mut ShardStats,
+        stats: &mut WorkCounters,
     ) -> Vec<(Outcome, u32)> {
         let mut out: Vec<Option<(Outcome, u32)>> = vec![None; points.len()];
         let first_verdict = self
@@ -652,7 +676,7 @@ impl CellExec<'_> {
         points: &[FaultPoint],
         fan: &[(usize, u64)],
         out: &mut [Option<(Outcome, u32)>],
-        stats: &mut ShardStats,
+        stats: &mut WorkCounters,
     ) {
         let reference = &self.reference.trace.result;
         let mut spine_hook = SkipHook { step: first };
@@ -1046,6 +1070,9 @@ impl MatrixExecutor {
                 suffix_by_key
                     .entry(&job.key)
                     .or_insert_with(|| {
+                        let _span = secbranch_obs::span_with("suffix_index", || {
+                            format!("{} {}", job.key.artifact, job.entry)
+                        });
                         let mut sim = job.source.fresh_simulator();
                         SuffixIndex::build(
                             &mut sim,
@@ -1181,11 +1208,11 @@ impl MatrixExecutor {
                 let points = &spaces[shard.job][unit.start..unit.end];
                 match unit.shared_first {
                     Some(first) => {
-                        outcomes.extend(cell.run_group(simulator, first, points, &mut stats));
+                        outcomes.extend(cell.run_group(simulator, first, points, &mut stats.work));
                     }
                     None => {
                         for point in points {
-                            outcomes.push(cell.run_single(simulator, point, &mut stats));
+                            outcomes.push(cell.run_single(simulator, point, &mut stats.work));
                         }
                     }
                 }
@@ -1245,10 +1272,7 @@ impl MatrixExecutor {
             debug_assert_eq!(outcomes[shard.job].len(), shard.point_start);
             outcomes[shard.job].extend_from_slice(shard_outcomes);
             stats[shard.job].micros += shard_stats.micros;
-            stats[shard.job].snapshot_restores += shard_stats.snapshot_restores;
-            stats[shard.job].suffix_steps_saved += shard_stats.suffix_steps_saved;
-            stats[shard.job].loop_proofs += shard_stats.loop_proofs;
-            stats[shard.job].loop_steps_saved += shard_stats.loop_steps_saved;
+            stats[shard.job].work += shard_stats.work;
         }
         Ok(jobs
             .iter()
@@ -1260,10 +1284,7 @@ impl MatrixExecutor {
                         cell_hit: true,
                         trace_fetch: None,
                         compute_micros: 0,
-                        snapshot_restores: 0,
-                        suffix_steps_saved: 0,
-                        loop_proofs: 0,
-                        loop_steps_saved: 0,
+                        work: WorkCounters::default(),
                     };
                 }
                 let reference = recorded[index].as_ref().expect("live job");
@@ -1284,10 +1305,7 @@ impl MatrixExecutor {
                     cell_hit: false,
                     trace_fetch: fetches[index],
                     compute_micros: stats[index].micros,
-                    snapshot_restores: stats[index].snapshot_restores,
-                    suffix_steps_saved: stats[index].suffix_steps_saved,
-                    loop_proofs: stats[index].loop_proofs,
-                    loop_steps_saved: stats[index].loop_steps_saved,
+                    work: stats[index].work,
                 }
             })
             .collect())
@@ -1543,7 +1561,7 @@ mod tests {
             .with_threads(2)
             .run(&jobs, &starved)
             .expect("runs");
-        assert_eq!(starved.snapshot_bytes(), 0, "budget keeps nothing");
+        assert_eq!(starved.stats().snapshot_bytes, 0, "budget keeps nothing");
         assert_eq!(
             baseline[0].report.to_json(),
             pinched[0].report.to_json(),
@@ -1582,7 +1600,7 @@ mod tests {
             .with_threads(2)
             .run(&jobs, &store)
             .expect("runs");
-        assert_eq!((store.hits(), store.misses()), (1, 1));
+        assert_eq!((store.stats().hits, store.stats().misses), (1, 1));
         assert!(!results[0].trace_hit(), "first cell records");
         assert_eq!(results[0].trace_fetch, Some(TraceFetch::Recorded));
         assert!(results[1].trace_hit(), "second cell reuses");
@@ -1593,7 +1611,7 @@ mod tests {
         );
         // A second matrix over the same keys is all hits.
         let again = MatrixExecutor::new().run(&jobs, &store).expect("runs");
-        assert_eq!((store.hits(), store.misses()), (3, 1));
+        assert_eq!((store.stats().hits, store.stats().misses), (3, 1));
         assert!(again.iter().all(|r| r.trace_hit()));
     }
 

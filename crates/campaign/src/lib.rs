@@ -77,7 +77,7 @@ mod runner;
 mod service;
 pub mod trace_store;
 
-pub use executor::{MatrixCellResult, MatrixError, MatrixExecutor, MatrixJob};
+pub use executor::{MatrixCellResult, MatrixError, MatrixExecutor, MatrixJob, WorkCounters};
 pub use liveness::{LivenessVerdict, SuffixIndex};
 pub use model::{
     BranchInversion, CampaignContext, DoubleInstructionSkip, FaultGroup, FaultModel,
@@ -93,7 +93,8 @@ pub use runner::{CampaignRunner, OwnedModule, SharedModule, SimulatorSource};
 pub use service::{CellRequest, Completion, ExecutorPool, PoolError, PoolStats};
 pub use trace_store::{
     record_reference, record_reference_without_checkpoints, RecordedReference, SpineSnapshot,
-    TraceCheckpoint, TraceFetch, TraceKey, TraceStore, CHECKPOINT_BUDGET, DEFAULT_SNAPSHOT_BUDGET,
+    TraceCheckpoint, TraceFetch, TraceKey, TraceStore, TraceStoreStats, CHECKPOINT_BUDGET,
+    DEFAULT_SNAPSHOT_BUDGET,
 };
 
 #[cfg(test)]

@@ -28,7 +28,6 @@
 
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
@@ -176,6 +175,8 @@ struct QueueState {
     heap: BinaryHeap<QueuedJob>,
     next_seq: u64,
     shutdown: bool,
+    /// The pool's counters; [`ExecutorPool::stats`] fills in the gauges.
+    counts: PoolStats,
 }
 
 struct PoolShared {
@@ -186,54 +187,33 @@ struct PoolShared {
     /// Signalled when the queue loses a job (or shuts down).
     space: Condvar,
     capacity: usize,
-    submitted: AtomicU64,
-    in_flight: AtomicU64,
-    completed: AtomicU64,
-    errored: AtomicU64,
-    expired: AtomicU64,
-    compute_micros: AtomicU64,
 }
 
-/// A point-in-time snapshot of the pool's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Worker threads serving the queue.
-    pub workers: usize,
-    /// Maximum queued (not yet claimed) jobs before `submit` blocks.
-    pub capacity: usize,
-    /// Jobs currently waiting in the queue.
-    pub queued: usize,
-    /// Jobs claimed by a worker and not yet completed.
-    pub in_flight: u64,
-    /// Jobs accepted by `submit` over the pool's lifetime.
-    pub submitted: u64,
-    /// Jobs whose callback received an `Ok` result.
-    pub completed: u64,
-    /// Jobs whose callback received an `Err` (failing reference run or a
-    /// panicked cell).
-    pub errored: u64,
-    /// Jobs dropped unexecuted because their deadline passed while they
-    /// were still queued (their callbacks received
-    /// [`PoolError::DeadlineExpired`]).
-    pub expired: u64,
-    /// Injection compute time summed over all completed cells, in µs.
-    pub compute_micros: u64,
-}
-
-impl PoolStats {
-    /// Registers this snapshot's counters and gauges under the
-    /// `secbranch_pool_*` prefix. Derived observability data only — never
-    /// part of reports, fingerprints, or persistence.
-    pub fn register_into(&self, registry: &mut secbranch_obs::Registry) {
-        registry.gauge("secbranch_pool_workers", self.workers as u64);
-        registry.gauge("secbranch_pool_capacity", self.capacity as u64);
-        registry.gauge("secbranch_pool_queued", self.queued as u64);
-        registry.gauge("secbranch_pool_in_flight", self.in_flight);
-        registry.counter("secbranch_pool_submitted_total", self.submitted);
-        registry.counter("secbranch_pool_completed_total", self.completed);
-        registry.counter("secbranch_pool_errored_total", self.errored);
-        registry.counter("secbranch_pool_expired_total", self.expired);
-        registry.counter("secbranch_pool_compute_micros_total", self.compute_micros);
+secbranch_obs::counter_set! {
+    /// A point-in-time snapshot of the pool's counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PoolStats {
+        /// Worker threads serving the queue.
+        workers: usize => gauge "secbranch_pool_workers",
+        /// Maximum queued (not yet claimed) jobs before `submit` blocks.
+        capacity: usize => gauge "secbranch_pool_capacity",
+        /// Jobs currently waiting in the queue.
+        queued: usize => gauge "secbranch_pool_queued",
+        /// Jobs claimed by a worker and not yet completed.
+        in_flight: u64 => gauge "secbranch_pool_in_flight",
+        /// Jobs accepted by `submit` over the pool's lifetime.
+        submitted: u64 => counter "secbranch_pool_submitted_total",
+        /// Jobs whose callback received an `Ok` result.
+        completed: u64 => counter "secbranch_pool_completed_total",
+        /// Jobs whose callback received an `Err` (failing reference run or
+        /// a panicked cell).
+        errored: u64 => counter "secbranch_pool_errored_total",
+        /// Jobs dropped unexecuted because their deadline passed while they
+        /// were still queued (their callbacks received
+        /// [`PoolError::DeadlineExpired`]).
+        expired: u64 => counter "secbranch_pool_expired_total",
+        /// Injection compute time summed over all completed cells, in µs.
+        compute_micros: u64 => counter "secbranch_pool_compute_micros_total",
     }
 }
 
@@ -271,16 +251,11 @@ impl ExecutorPool {
                 heap: BinaryHeap::new(),
                 next_seq: 0,
                 shutdown: false,
+                counts: PoolStats::default(),
             }),
             ready: Condvar::new(),
             space: Condvar::new(),
             capacity: capacity.max(1),
-            submitted: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            errored: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            compute_micros: AtomicU64::new(0),
         });
         let workers = (0..workers.max(1))
             .map(|_| {
@@ -321,7 +296,7 @@ impl ExecutorPool {
             request,
             on_done,
         });
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+        state.counts.submitted += 1;
         drop(state);
         self.shared.ready.notify_one();
         true
@@ -330,23 +305,12 @@ impl ExecutorPool {
     /// A snapshot of the pool's counters.
     #[must_use]
     pub fn stats(&self) -> PoolStats {
-        let queued = self
-            .shared
-            .queue
-            .lock()
-            .expect("pool queue poisoned")
-            .heap
-            .len();
+        let state = self.shared.queue.lock().expect("pool queue poisoned");
         PoolStats {
             workers: self.workers.len(),
             capacity: self.shared.capacity,
-            queued,
-            in_flight: self.shared.in_flight.load(Ordering::Relaxed),
-            submitted: self.shared.submitted.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            errored: self.shared.errored.load(Ordering::Relaxed),
-            expired: self.shared.expired.load(Ordering::Relaxed),
-            compute_micros: self.shared.compute_micros.load(Ordering::Relaxed),
+            queued: state.heap.len(),
+            ..state.counts
         }
     }
 }
@@ -370,9 +334,15 @@ impl Drop for ExecutorPool {
 
 fn worker_loop(shared: &PoolShared) {
     loop {
-        let job = {
+        // First deadline stage: a job claimed after its deadline is expired
+        // here without running anything — completion invoked with an error,
+        // never silently dropped, so waiters coalesced onto the cell observe
+        // the outcome instead of hanging on a registration nobody will ever
+        // serve. (The second stage is inside the executor, which stops
+        // claiming shards once the deadline passes mid-run.)
+        let (job, expired) = {
             let mut state = shared.queue.lock().expect("pool queue poisoned");
-            loop {
+            let job = loop {
                 if state.shutdown {
                     return;
                 }
@@ -380,28 +350,27 @@ fn worker_loop(shared: &PoolShared) {
                     break job;
                 }
                 state = shared.ready.wait(state).expect("pool queue poisoned");
+            };
+            let expired = job
+                .request
+                .deadline
+                .is_some_and(|deadline| Instant::now() >= deadline);
+            if expired {
+                state.counts.expired += 1;
+            } else {
+                state.counts.in_flight += 1;
             }
+            (job, expired)
         };
         shared.space.notify_one();
 
         let QueuedJob {
             request, on_done, ..
         } = job;
-        // First deadline stage: a job claimed after its deadline is expired
-        // here without running anything — completion invoked with an error,
-        // never silently dropped, so waiters coalesced onto the cell observe
-        // the outcome instead of hanging on a registration nobody will ever
-        // serve. (The second stage is inside the executor, which stops
-        // claiming shards once the deadline passes mid-run.)
-        if request
-            .deadline
-            .is_some_and(|deadline| Instant::now() >= deadline)
-        {
-            shared.expired.fetch_add(1, Ordering::Relaxed);
+        if expired {
             on_done(Err(PoolError::DeadlineExpired));
             continue;
         }
-        shared.in_flight.fetch_add(1, Ordering::Relaxed);
         // One single-threaded executor run per cell: the pool's parallelism
         // is across cells, and every executor invariant (cell-cache probe,
         // trace memo, canonical assembly, write-back) is inherited verbatim.
@@ -436,21 +405,18 @@ fn worker_loop(shared: &PoolShared) {
             Ok(Err(MatrixError::DeadlineExpired)) => Err(PoolError::DeadlineExpired),
             Err(_) => Err(PoolError::Panicked),
         };
-        match &result {
-            Ok(cell) => {
-                shared
-                    .compute_micros
-                    .fetch_add(cell.compute_micros, Ordering::Relaxed);
-                shared.completed.fetch_add(1, Ordering::Relaxed);
+        {
+            let counts = &mut shared.queue.lock().expect("pool queue poisoned").counts;
+            match &result {
+                Ok(cell) => {
+                    counts.compute_micros += cell.compute_micros;
+                    counts.completed += 1;
+                }
+                Err(PoolError::DeadlineExpired) => counts.expired += 1,
+                Err(_) => counts.errored += 1,
             }
-            Err(PoolError::DeadlineExpired) => {
-                shared.expired.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                shared.errored.fetch_add(1, Ordering::Relaxed);
-            }
+            counts.in_flight -= 1;
         }
-        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
         on_done(result);
     }
 }
@@ -528,7 +494,7 @@ mod tests {
             assert_eq!(pooled.report.to_json(), sequential.to_json());
         }
         // Both cells share one TraceKey: the reference was recorded once.
-        assert_eq!(store.misses(), 1);
+        assert_eq!(store.stats().misses, 1);
         let stats = pool.stats();
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.completed, 2);

@@ -31,7 +31,6 @@
 //!    classification silently becomes garbage.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use secbranch_armv7m::{FaultAction, FaultHook, Instr, Machine, MachineState, Program, SimError};
@@ -321,6 +320,9 @@ struct StoreInner {
     snapshot_bytes: usize,
     snapshot_budget: Option<usize>,
     backend: Option<Arc<dyn GridBackend>>,
+    /// The counters of [`TraceStore::stats`]; its gauges are derived from
+    /// the fields above when a snapshot is taken.
+    stats: TraceStoreStats,
 }
 
 impl Default for StoreInner {
@@ -334,6 +336,7 @@ impl Default for StoreInner {
             snapshot_bytes: 0,
             snapshot_budget: Some(DEFAULT_SNAPSHOT_BUDGET),
             backend: None,
+            stats: TraceStoreStats::default(),
         }
     }
 }
@@ -360,7 +363,6 @@ impl StoreInner {
         &mut self,
         key: &TraceKey,
         reference: Arc<RecordedReference>,
-        evictions: &AtomicU64,
     ) -> Arc<RecordedReference> {
         self.tick += 1;
         let tick = self.tick;
@@ -381,17 +383,11 @@ impl StoreInner {
                 reference
             }
         };
-        self.enforce_budget(evictions);
+        self.enforce_budget();
         stored
     }
 
-    fn cache_snapshot(
-        &mut self,
-        key: &TraceKey,
-        first: u64,
-        snapshot: Arc<SpineSnapshot>,
-        evictions: &AtomicU64,
-    ) {
+    fn cache_snapshot(&mut self, key: &TraceKey, first: u64, snapshot: Arc<SpineSnapshot>) {
         self.tick += 1;
         let tick = self.tick;
         let bytes = snapshot.state.dirty_len() + CHECKPOINT_FIXED_COST;
@@ -415,10 +411,10 @@ impl StoreInner {
                 });
             }
         }
-        self.enforce_snapshot_budget(evictions);
+        self.enforce_snapshot_budget();
     }
 
-    fn enforce_snapshot_budget(&mut self, evictions: &AtomicU64) {
+    fn enforce_snapshot_budget(&mut self) {
         let Some(budget) = self.snapshot_budget else {
             return;
         };
@@ -433,11 +429,11 @@ impl StoreInner {
             };
             let entry = self.snapshots.remove(&victim).expect("victim exists");
             self.snapshot_bytes -= entry.bytes;
-            evictions.fetch_add(1, Ordering::Relaxed);
+            self.stats.snapshot_evictions += 1;
         }
     }
 
-    fn enforce_budget(&mut self, evictions: &AtomicU64) {
+    fn enforce_budget(&mut self) {
         let Some(budget) = self.checkpoint_budget else {
             return;
         };
@@ -465,8 +461,32 @@ impl StoreInner {
             self.checkpoint_bytes -= entry.checkpoint_bytes;
             entry.checkpoint_bytes = 0;
             entry.reference = stripped;
-            evictions.fetch_add(1, Ordering::Relaxed);
+            self.stats.checkpoint_evictions += 1;
         }
+    }
+}
+
+secbranch_obs::counter_set! {
+    /// A point-in-time snapshot of a [`TraceStore`]'s counters and
+    /// retention gauges.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TraceStoreStats {
+        /// References served from the in-memory memo.
+        hits: u64 => counter "secbranch_trace_store_hits_total",
+        /// References loaded from the attached persistence backend.
+        disk_hits: u64 => counter "secbranch_trace_store_disk_hits_total",
+        /// References that had to be recorded.
+        misses: u64 => counter "secbranch_trace_store_misses_total",
+        /// Entries whose checkpoints the byte budget evicted.
+        checkpoint_evictions: u64 => counter "secbranch_trace_store_checkpoint_evictions_total",
+        /// Spine snapshots the snapshot budget evicted.
+        snapshot_evictions: u64 => counter "secbranch_trace_store_snapshot_evictions_total",
+        /// References currently held.
+        entries: u64 => gauge "secbranch_trace_store_entries",
+        /// Bytes currently held by resume checkpoints.
+        checkpoint_bytes: u64 => gauge "secbranch_trace_store_checkpoint_bytes",
+        /// Bytes currently held by spine snapshots.
+        snapshot_bytes: u64 => gauge "secbranch_trace_store_snapshot_bytes",
     }
 }
 
@@ -489,24 +509,19 @@ impl StoreInner {
 /// through, and an in-memory miss consults the backend before recording —
 /// which is how a matrix run warm-starts from a store directory written by
 /// an earlier process. Fetch provenance is reported per request as
-/// [`TraceFetch`] and in the [`TraceStore::disk_hits`] counter.
+/// [`TraceFetch`] and in the [`TraceStoreStats::disk_hits`] counter.
 ///
 /// # Bounding memory
 ///
 /// [`TraceStore::set_checkpoint_budget`] caps the bytes retained by resume
 /// checkpoints. When an insertion exceeds the budget, checkpoints are
-/// stripped from the least-recently-used entries until it fits (counted by
-/// [`TraceStore::checkpoint_evictions`]); the traces themselves always
+/// stripped from the least-recently-used entries until it fits (counted in
+/// [`TraceStoreStats::checkpoint_evictions`]); the traces themselves always
 /// stay, and consumers transparently fall back to full re-execution when a
 /// checkpoint is gone — output never changes, only speed.
 #[derive(Debug, Default)]
 pub struct TraceStore {
     inner: Mutex<StoreInner>,
-    hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    snapshot_evictions: AtomicU64,
 }
 
 impl TraceStore {
@@ -516,13 +531,17 @@ impl TraceStore {
         TraceStore::default()
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, StoreInner> {
+        self.inner.lock().expect("trace store poisoned")
+    }
+
     /// Attaches a persistence backend: spills the current in-memory entries
     /// to it, then keeps it consulted on every miss and written through on
     /// every fresh recording. Attaching the same backend again (by
     /// identity) is a no-op; attaching a different one replaces it and
     /// spills again.
     pub fn attach_backend(&self, backend: Arc<dyn GridBackend>) {
-        let mut inner = self.inner.lock().expect("trace store poisoned");
+        let mut inner = self.lock();
         if let Some(current) = &inner.backend {
             if Arc::ptr_eq(current, &backend) {
                 return;
@@ -537,44 +556,16 @@ impl TraceStore {
     /// The currently attached persistence backend, if any.
     #[must_use]
     pub fn backend(&self) -> Option<Arc<dyn GridBackend>> {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .backend
-            .clone()
+        self.lock().backend.clone()
     }
 
     /// Caps the bytes retained by resume checkpoints (`None` lifts the
     /// cap). Applies immediately: if the store is already over the new
     /// budget, LRU entries lose their checkpoints now.
     pub fn set_checkpoint_budget(&self, budget: Option<usize>) {
-        let mut inner = self.inner.lock().expect("trace store poisoned");
+        let mut inner = self.lock();
         inner.checkpoint_budget = budget;
-        inner.enforce_budget(&self.evictions);
-    }
-
-    /// The configured checkpoint byte budget, if any.
-    #[must_use]
-    pub fn checkpoint_budget(&self) -> Option<usize> {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .checkpoint_budget
-    }
-
-    /// Bytes currently retained by resume checkpoints.
-    #[must_use]
-    pub fn checkpoint_bytes(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .checkpoint_bytes
-    }
-
-    /// How many entries have had their checkpoints evicted by the budget.
-    #[must_use]
-    pub fn checkpoint_evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        inner.enforce_budget();
     }
 
     /// Caches the spine snapshot of a grouped multi-fault batch — the
@@ -587,15 +578,15 @@ impl TraceStore {
     /// checkpoint-to-first-fault prefix, an eviction merely re-pays it.
     /// Reports are byte-identical either way.
     pub fn cache_spine_snapshot(&self, key: &TraceKey, first: u64, snapshot: Arc<SpineSnapshot>) {
-        let mut inner = self.inner.lock().expect("trace store poisoned");
-        inner.cache_snapshot(key, first, snapshot, &self.snapshot_evictions);
+        let mut inner = self.lock();
+        inner.cache_snapshot(key, first, snapshot);
     }
 
     /// The cached spine snapshot for `(key, first)`, if it survived the
     /// budget.
     #[must_use]
     pub fn spine_snapshot(&self, key: &TraceKey, first: u64) -> Option<Arc<SpineSnapshot>> {
-        let mut inner = self.inner.lock().expect("trace store poisoned");
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let entry = inner.snapshots.get_mut(&(key.clone(), first))?;
@@ -607,24 +598,9 @@ impl TraceStore {
     /// cap; the default is [`DEFAULT_SNAPSHOT_BUDGET`]). Applies
     /// immediately.
     pub fn set_snapshot_budget(&self, budget: Option<usize>) {
-        let mut inner = self.inner.lock().expect("trace store poisoned");
+        let mut inner = self.lock();
         inner.snapshot_budget = budget;
-        inner.enforce_snapshot_budget(&self.snapshot_evictions);
-    }
-
-    /// Bytes currently retained by cached spine snapshots.
-    #[must_use]
-    pub fn snapshot_bytes(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .snapshot_bytes
-    }
-
-    /// How many spine snapshots the budget has evicted.
-    #[must_use]
-    pub fn snapshot_evictions(&self) -> u64 {
-        self.snapshot_evictions.load(Ordering::Relaxed)
+        inner.enforce_snapshot_budget();
     }
 
     /// The reference execution for `key`, recorded on first request and
@@ -656,7 +632,7 @@ impl TraceStore {
     /// request* was satisfied (memo, disk, or a fresh recording).
     ///
     /// This is the per-request truth the matrix executor attributes to its
-    /// cells — unlike a before/after diff of the global [`TraceStore::hits`]
+    /// cells — unlike a before/after diff of the global [`TraceStoreStats::hits`]
     /// counter, it cannot be skewed by concurrent users of a shared store.
     ///
     /// # Errors
@@ -671,11 +647,11 @@ impl TraceStore {
         max_steps: u64,
     ) -> Result<(Arc<RecordedReference>, TraceFetch), SimError> {
         let backend = {
-            let mut inner = self.inner.lock().expect("trace store poisoned");
+            let mut inner = self.lock();
             if let Some(entry) = inner.entries.get(key) {
                 let found = Arc::clone(&entry.reference);
                 inner.touch(key);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                inner.stats.hits += 1;
                 return Ok((found, TraceFetch::Memory));
             }
             inner.backend.clone()
@@ -689,13 +665,13 @@ impl TraceStore {
                 // key contract it is the program the trace was recorded on.
                 let program = Arc::clone(source.fresh_simulator().shared_program());
                 let loaded = Arc::new(persisted.into_recorded(program));
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                let mut inner = self.inner.lock().expect("trace store poisoned");
-                let stored = inner.insert(key, loaded, &self.evictions);
+                let mut inner = self.lock();
+                inner.stats.disk_hits += 1;
+                let stored = inner.insert(key, loaded);
                 return Ok((stored, TraceFetch::Disk));
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.lock().stats.misses += 1;
         let recorded = {
             let _span =
                 secbranch_obs::span_with("reference", || format!("{} {}", key.artifact, entry));
@@ -704,64 +680,27 @@ impl TraceStore {
         if let Some(backend) = &backend {
             backend.store_trace(key, &recorded);
         }
-        let mut inner = self.inner.lock().expect("trace store poisoned");
-        let stored = inner.insert(key, recorded, &self.evictions);
+        let mut inner = self.lock();
+        let stored = inner.insert(key, recorded);
         Ok((stored, TraceFetch::Recorded))
     }
 
-    /// Registers the store's counters into an observability
-    /// [`Registry`](secbranch_obs::Registry) (`secbranch_trace_store_*`
-    /// series): the memo hit/miss/disk counters plus checkpoint and
-    /// snapshot retention as gauges.
-    pub fn register_into(&self, registry: &mut secbranch_obs::Registry) {
-        registry.counter("secbranch_trace_store_hits_total", self.hits());
-        registry.counter("secbranch_trace_store_disk_hits_total", self.disk_hits());
-        registry.counter("secbranch_trace_store_misses_total", self.misses());
-        registry.counter(
-            "secbranch_trace_store_checkpoint_evictions_total",
-            self.checkpoint_evictions(),
-        );
-        registry.counter(
-            "secbranch_trace_store_snapshot_evictions_total",
-            self.snapshot_evictions(),
-        );
-        registry.gauge("secbranch_trace_store_entries", self.len() as u64);
-        registry.gauge(
-            "secbranch_trace_store_checkpoint_bytes",
-            self.checkpoint_bytes() as u64,
-        );
-        registry.gauge(
-            "secbranch_trace_store_snapshot_bytes",
-            self.snapshot_bytes() as u64,
-        );
-    }
-
-    /// How many requests were served from the in-memory memo.
+    /// A snapshot of the store's counters and retention gauges.
     #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// How many requests were served from the attached backend.
-    #[must_use]
-    pub fn disk_hits(&self) -> u64 {
-        self.disk_hits.load(Ordering::Relaxed)
-    }
-
-    /// How many requests had to record (including failed recordings).
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+    pub fn stats(&self) -> TraceStoreStats {
+        let inner = self.lock();
+        TraceStoreStats {
+            entries: inner.entries.len() as u64,
+            checkpoint_bytes: inner.checkpoint_bytes as u64,
+            snapshot_bytes: inner.snapshot_bytes as u64,
+            ..inner.stats
+        }
     }
 
     /// Number of distinct traces currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .entries
-            .len()
+        self.lock().entries.len()
     }
 
     /// `true` if nothing has been recorded yet.
@@ -824,7 +763,7 @@ mod tests {
             .reference(&key_b, &sim, "max", &[3, 9], 100)
             .expect("records");
         assert_eq!(other.trace.result.return_value, 9);
-        assert_eq!((store.hits(), store.misses()), (1, 2));
+        assert_eq!((store.stats().hits, store.stats().misses), (1, 2));
         assert_eq!(store.len(), 2);
     }
 
@@ -939,8 +878,8 @@ mod tests {
             .reference_traced(&key, &sim, "max", &[7, 3], 100)
             .expect("loads");
         assert_eq!(fetch, TraceFetch::Disk);
-        assert_eq!(warm.misses(), 0, "nothing recorded");
-        assert_eq!(warm.disk_hits(), 1);
+        assert_eq!(warm.stats().misses, 0, "nothing recorded");
+        assert_eq!(warm.stats().disk_hits, 1);
         assert_eq!(reference.trace.result.return_value, 7);
         assert_eq!(reference.memory_size, 4096);
         // Loaded entries join the memo: the next request is a memory hit.
@@ -979,7 +918,7 @@ mod tests {
             .reference(&key_a, &sim, "max", &[7, 3], 100)
             .expect("records");
         assert!(!a.checkpoints.is_empty());
-        let bytes_after_one = store.checkpoint_bytes();
+        let bytes_after_one = store.stats().checkpoint_bytes;
         assert!(bytes_after_one > 0, "checkpoints are accounted");
 
         // Touch A, record B, then set a budget that fits only one entry:
@@ -991,9 +930,9 @@ mod tests {
         store
             .reference(&key_a, &sim, "max", &[7, 3], 100)
             .expect("hits");
-        store.set_checkpoint_budget(Some(bytes_after_one));
-        assert!(store.checkpoint_bytes() <= bytes_after_one);
-        assert_eq!(store.checkpoint_evictions(), 1);
+        store.set_checkpoint_budget(Some(bytes_after_one as usize));
+        assert!(store.stats().checkpoint_bytes <= bytes_after_one);
+        assert_eq!(store.stats().checkpoint_evictions, 1);
         assert_eq!(store.len(), 2, "traces always stay");
         let a_now = store
             .reference(&key_a, &sim, "max", &[7, 3], 100)
@@ -1010,7 +949,7 @@ mod tests {
 
         // A zero budget strips everything, including future recordings.
         store.set_checkpoint_budget(Some(0));
-        assert_eq!(store.checkpoint_bytes(), 0);
+        assert_eq!(store.stats().checkpoint_bytes, 0);
     }
 
     #[test]
@@ -1033,7 +972,7 @@ mod tests {
         store.cache_spine_snapshot(&key, 1, snap(&mut sim));
         store.cache_spine_snapshot(&key, 9, snap(&mut sim));
         store.cache_spine_snapshot(&other, 1, snap(&mut sim));
-        let bytes = store.snapshot_bytes();
+        let bytes = store.stats().snapshot_bytes as usize;
         assert!(bytes > 0, "snapshots are accounted");
         let got = store.spine_snapshot(&key, 1).expect("cached");
         assert_eq!(got.steps_done, 1);
@@ -1043,14 +982,18 @@ mod tests {
         // (key, 9), since (key, 1) was just re-read.
         let per_entry = bytes / 3;
         store.set_snapshot_budget(Some(2 * per_entry + 1));
-        assert_eq!(store.snapshot_evictions(), 1);
+        assert_eq!(store.stats().snapshot_evictions, 1);
         assert!(store.spine_snapshot(&key, 9).is_none(), "LRU evicted");
         assert!(store.spine_snapshot(&key, 1).is_some());
         assert!(store.spine_snapshot(&other, 1).is_some());
 
         // A snapshot larger than the whole budget is not cached at all.
         store.set_snapshot_budget(Some(1));
-        assert_eq!(store.snapshot_bytes(), 0, "budget drop evicts the rest");
+        assert_eq!(
+            store.stats().snapshot_bytes,
+            0,
+            "budget drop evicts the rest"
+        );
         store.cache_spine_snapshot(&key, 5, snap(&mut sim));
         assert!(store.spine_snapshot(&key, 5).is_none());
     }
@@ -1061,7 +1004,7 @@ mod tests {
         let sim = max_simulator();
         let key = TraceKey::new("art", "nope", &[]);
         assert!(store.reference(&key, &sim, "nope", &[], 100).is_err());
-        assert_eq!(store.misses(), 1, "the failed attempt still recorded");
+        assert_eq!(store.stats().misses, 1, "the failed attempt still recorded");
         assert!(store.is_empty(), "no entry for the failure");
         // The same key succeeds once the recording can.
         let key_ok = TraceKey::new("art", "max", &[1, 2]);

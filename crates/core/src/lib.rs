@@ -95,7 +95,7 @@ pub use artifact::Artifact;
 pub use pipeline::{Pipeline, SimConfig};
 pub use provenance::Provenance;
 pub use report::{overhead_cell, Report, ReportCell};
-pub use security::{MatrixStats, SecurityCell, SecurityReport};
+pub use security::{DecodeCounters, MatrixStats, SecurityCell, SecurityReport};
 pub use session::{Session, Workload};
 
 use secbranch_armv7m::ExecResult;

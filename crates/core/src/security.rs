@@ -1,8 +1,11 @@
 //! The [`SecurityReport`]: a variants × fault-models security matrix
 //! produced by [`crate::Session::security_matrix`].
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
+use secbranch_armv7m::Program;
 use secbranch_campaign::{push_json_string, CampaignReport};
 
 /// One cell of a security matrix: one workload under one pipeline attacked
@@ -19,59 +22,63 @@ pub struct SecurityCell {
     pub report: CampaignReport,
 }
 
-/// Execution metadata of one security-matrix run: where the time went and
-/// how well the trace cache did.
-///
-/// Stats describe *how* a particular run executed, never *what* it
-/// computed: they are excluded from [`SecurityReport`]'s equality and from
-/// [`SecurityReport::to_json`], which is what lets reports stay
-/// byte-identical across thread counts while still carrying timings.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MatrixStats {
-    /// Worker threads of the run.
-    pub threads: usize,
-    /// Reference traces served from the in-memory trace store.
-    pub trace_hits: u64,
-    /// Reference traces loaded from an attached persistent grid store.
-    pub trace_disk_hits: u64,
-    /// Reference traces that had to be recorded.
-    pub trace_misses: u64,
-    /// Whole cells served from the persistent grid store (zero simulation).
-    pub cell_hits: u64,
-    /// Cells that had to execute their fault space.
-    pub cell_misses: u64,
-    /// End-to-end wall time of the campaign phase in microseconds
-    /// (builds excluded).
-    pub total_wall_micros: u64,
-    /// Injection compute time per cell in microseconds, parallel to
-    /// [`SecurityReport::cells`]. Under the shared pool cells overlap in
-    /// wall time, so these sum to roughly `threads × total_wall_micros`
-    /// (cache-served cells contribute zero).
-    pub cell_compute_micros: Vec<u64>,
-    /// Bytes currently held by resume checkpoints in the session's trace
-    /// store (after this run).
-    pub store_checkpoint_bytes: u64,
-    /// Session-lifetime count of entries whose checkpoints were evicted by
-    /// the trace store's byte budget.
-    pub store_checkpoint_evictions: u64,
-    /// Spine-snapshot restores across all cells: grouped multi-fault
-    /// batches that resumed from a saved post-first-fault machine state
-    /// instead of re-executing the shared prefix.
-    pub snapshot_restores: u64,
-    /// Reference-suffix steps the differential executor avoided executing
-    /// across all cells (liveness-pruned injections plus runs cut short at
-    /// a reconvergent checkpoint).
-    pub suffix_steps_saved: u64,
-    /// Artifacts whose program was decoded into micro-ops during (or
-    /// before) this run. Decode happens once per `Arc<Program>` no matter
-    /// how many workers share it; the decoded form is derived data and
-    /// never part of the report.
-    pub decoded_programs: u64,
-    /// Total micro-ops across those decoded programs (equals their total
-    /// instruction count — the decoder is 1:1).
-    pub decoded_uops: u64,
-    /// Total wall-clock microseconds spent decoding those programs.
-    pub decode_micros: u64,
+secbranch_obs::counter_set! {
+    /// Execution metadata of one security-matrix run: where the time went
+    /// and how well the trace cache did.
+    ///
+    /// Stats describe *how* a particular run executed, never *what* it
+    /// computed: they are excluded from [`SecurityReport`]'s equality and
+    /// from [`SecurityReport::to_json`], which is what lets reports stay
+    /// byte-identical across thread counts while still carrying timings.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct MatrixStats {
+        /// Worker threads of the run.
+        threads: usize => gauge "secbranch_matrix_threads",
+        /// Reference traces served from the in-memory trace store.
+        trace_hits: u64 => counter "secbranch_matrix_trace_hits_total",
+        /// Reference traces loaded from an attached persistent grid store.
+        trace_disk_hits: u64 => counter "secbranch_matrix_trace_disk_hits_total",
+        /// Reference traces that had to be recorded.
+        trace_misses: u64 => counter "secbranch_matrix_trace_misses_total",
+        /// Whole cells served from the persistent grid store (zero
+        /// simulation).
+        cell_hits: u64 => counter "secbranch_matrix_cell_hits_total",
+        /// Cells that had to execute their fault space.
+        cell_misses: u64 => counter "secbranch_matrix_cell_misses_total",
+        /// End-to-end wall time of the campaign phase in microseconds
+        /// (builds excluded).
+        total_wall_micros: u64 => counter "secbranch_matrix_wall_micros_total",
+        /// Injection compute time per cell in microseconds, parallel to
+        /// [`SecurityReport::cells`]. Under the shared pool cells overlap
+        /// in wall time, so these sum to roughly
+        /// `threads × total_wall_micros` (cache-served cells contribute
+        /// zero).
+        cell_compute_micros: Vec<u64>,
+        /// Bytes currently held by resume checkpoints in the session's
+        /// trace store (after this run).
+        store_checkpoint_bytes: u64,
+        /// Session-lifetime count of entries whose checkpoints were
+        /// evicted by the trace store's byte budget.
+        store_checkpoint_evictions: u64,
+        /// Spine-snapshot restores across all cells: grouped multi-fault
+        /// batches that resumed from a saved post-first-fault machine state
+        /// instead of re-executing the shared prefix.
+        snapshot_restores: u64 => counter "secbranch_matrix_snapshot_restores_total",
+        /// Reference-suffix steps the differential executor avoided
+        /// executing across all cells (liveness-pruned injections plus runs
+        /// cut short at a reconvergent checkpoint).
+        suffix_steps_saved: u64 => counter "secbranch_matrix_suffix_steps_saved_total",
+        /// Artifacts whose program was decoded into micro-ops during (or
+        /// before) this run. Decode happens once per `Arc<Program>` no
+        /// matter how many workers share it; the decoded form is derived
+        /// data and never part of the report.
+        decoded_programs: u64 => counter "secbranch_matrix_decoded_programs_total",
+        /// Total micro-ops across those decoded programs (equals their
+        /// total instruction count — the decoder is 1:1).
+        decoded_uops: u64,
+        /// Total wall-clock microseconds spent decoding those programs.
+        decode_micros: u64 => counter "secbranch_matrix_decode_micros_total",
+    }
 }
 
 impl MatrixStats {
@@ -80,69 +87,44 @@ impl MatrixStats {
     pub fn compute_histogram(&self) -> secbranch_obs::HistogramSnapshot {
         secbranch_obs::HistogramSnapshot::from_samples(&self.cell_compute_micros)
     }
+}
 
-    /// Registers this run's counters and the per-cell compute histogram
-    /// under the `secbranch_matrix_*` prefix. Derived observability data
-    /// only — never part of reports, fingerprints, or persistence.
-    pub fn register_into(&self, registry: &mut secbranch_obs::Registry) {
-        registry.gauge("secbranch_matrix_threads", self.threads as u64);
-        registry.counter("secbranch_matrix_trace_hits_total", self.trace_hits);
-        registry.counter(
-            "secbranch_matrix_trace_disk_hits_total",
-            self.trace_disk_hits,
-        );
-        registry.counter("secbranch_matrix_trace_misses_total", self.trace_misses);
-        registry.counter("secbranch_matrix_cell_hits_total", self.cell_hits);
-        registry.counter("secbranch_matrix_cell_misses_total", self.cell_misses);
-        registry.counter("secbranch_matrix_wall_micros_total", self.total_wall_micros);
-        registry.counter(
-            "secbranch_matrix_snapshot_restores_total",
-            self.snapshot_restores,
-        );
-        registry.counter(
-            "secbranch_matrix_suffix_steps_saved_total",
-            self.suffix_steps_saved,
-        );
-        registry.counter(
-            "secbranch_matrix_decoded_programs_total",
-            self.decoded_programs,
-        );
-        registry.counter("secbranch_matrix_decode_micros_total", self.decode_micros);
-        registry.histogram("secbranch_cell_compute_micros", &self.compute_histogram());
+secbranch_obs::counter_set! {
+    /// What decoding programs into micro-ops cost. Each `Arc<Program>`
+    /// decodes at most once, however many workers share it; the decoded
+    /// form is derived data and never part of a report.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DecodeCounters {
+        /// Programs decoded.
+        decoded_programs: u64,
+        /// Micro-ops across them (the decoder is 1:1 with instructions).
+        decoded_uops: u64,
+        /// Wall-clock microseconds spent decoding them.
+        decode_micros: u64,
     }
+}
 
-    /// Serialises the stats as a JSON object (hand-rolled: the offline
-    /// build has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self
-            .cell_compute_micros
-            .iter()
-            .map(u64::to_string)
-            .collect();
-        format!(
-            "{{\"threads\":{},\"trace_hits\":{},\"trace_disk_hits\":{},\"trace_misses\":{},\
-             \"cell_hits\":{},\"cell_misses\":{},\"total_wall_micros\":{},\
-             \"cell_compute_micros\":[{}],\"store_checkpoint_bytes\":{},\
-             \"store_checkpoint_evictions\":{},\"snapshot_restores\":{},\
-             \"suffix_steps_saved\":{},\"decoded_programs\":{},\
-             \"decoded_uops\":{},\"decode_micros\":{}}}",
-            self.threads,
-            self.trace_hits,
-            self.trace_disk_hits,
-            self.trace_misses,
-            self.cell_hits,
-            self.cell_misses,
-            self.total_wall_micros,
-            cells.join(","),
-            self.store_checkpoint_bytes,
-            self.store_checkpoint_evictions,
-            self.snapshot_restores,
-            self.suffix_steps_saved,
-            self.decoded_programs,
-            self.decoded_uops,
-            self.decode_micros,
-        )
+impl DecodeCounters {
+    /// The decode cost of every program in `programs` that has decoded and
+    /// is not in `seen` yet, adding it there. A program that has not
+    /// decoded yet (its cells were all served from a store) stays out of
+    /// `seen`, so the call that finds it decoded counts it.
+    pub fn count<'a>(
+        programs: impl IntoIterator<Item = &'a Arc<Program>>,
+        seen: &mut HashSet<usize>,
+    ) -> DecodeCounters {
+        let mut counters = DecodeCounters::default();
+        for program in programs {
+            let identity = Arc::as_ptr(program) as usize;
+            if let Some((uops, micros)) = program.decode_stats() {
+                if seen.insert(identity) {
+                    counters.decoded_programs += 1;
+                    counters.decoded_uops += uops;
+                    counters.decode_micros += micros;
+                }
+            }
+        }
+        counters
     }
 }
 

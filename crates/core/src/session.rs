@@ -13,8 +13,8 @@ use secbranch_ir::Module;
 use secbranch_store::GridStore;
 
 use crate::{
-    Artifact, BuildError, MatrixStats, Measurement, Pipeline, Report, ReportCell, SecurityCell,
-    SecurityReport,
+    Artifact, BuildError, DecodeCounters, MatrixStats, Measurement, Pipeline, Report, ReportCell,
+    SecurityCell, SecurityReport,
 };
 
 /// A named executable workload: an IR module plus the entry point and
@@ -409,8 +409,7 @@ impl Session {
                         None => {} // cell hit: no reference was needed
                     }
                     stats.cell_compute_micros.push(result.compute_micros);
-                    stats.snapshot_restores += result.snapshot_restores;
-                    stats.suffix_steps_saved += result.suffix_steps_saved;
+                    secbranch_obs::accumulate(&mut stats, &result.work);
                     cells.push(SecurityCell {
                         workload: workload_name.clone(),
                         pipeline: label.clone(),
@@ -420,23 +419,14 @@ impl Session {
                 }
             }
         }
-        stats.store_checkpoint_bytes = self.traces.checkpoint_bytes() as u64;
-        stats.store_checkpoint_evictions = self.traces.checkpoint_evictions();
-        // Decode-cost accounting: each artifact's program decodes into
-        // micro-ops at most once (cached in the `Arc<Program>` all workers
-        // share); cells served entirely from a warm store never decode.
-        let mut decoded_seen = HashSet::new();
-        for artifact in &artifacts {
-            let program = &artifact.compiled().program;
-            if !decoded_seen.insert(Arc::as_ptr(program)) {
-                continue;
-            }
-            if let Some((uops, micros)) = program.decode_stats() {
-                stats.decoded_programs += 1;
-                stats.decoded_uops += uops;
-                stats.decode_micros += micros;
-            }
-        }
+        let traces = self.traces.stats();
+        stats.store_checkpoint_bytes = traces.checkpoint_bytes;
+        stats.store_checkpoint_evictions = traces.checkpoint_evictions;
+        let programs = artifacts.iter().map(|a| &a.compiled().program);
+        secbranch_obs::accumulate(
+            &mut stats,
+            &DecodeCounters::count(programs, &mut HashSet::new()),
+        );
         Ok(SecurityReport {
             workloads: workload_names,
             pipelines: labels,
@@ -477,7 +467,7 @@ impl Session {
             ..MatrixStats::default()
         };
         let mut cells = Vec::with_capacity(workloads.len() * pipelines.len() * models.len());
-        let mut decoded_seen = HashSet::new();
+        let mut decoded = HashSet::new();
         for (workload, workload_name) in workloads.iter().zip(&workload_names) {
             for (pipeline, label) in pipelines.iter().zip(&labels) {
                 let artifact = self
@@ -508,14 +498,8 @@ impl Session {
                         report,
                     });
                 }
-                let program = &artifact.compiled().program;
-                if decoded_seen.insert(Arc::as_ptr(program)) {
-                    if let Some((uops, micros)) = program.decode_stats() {
-                        stats.decoded_programs += 1;
-                        stats.decoded_uops += uops;
-                        stats.decode_micros += micros;
-                    }
-                }
+                let decode = DecodeCounters::count([&artifact.compiled().program], &mut decoded);
+                secbranch_obs::accumulate(&mut stats, &decode);
             }
         }
         stats.total_wall_micros = started.elapsed().as_micros() as u64;

@@ -173,12 +173,12 @@ impl GridClient {
     }
 
     /// Fetches the daemon's metrics registry as a Prometheus-style text
-    /// exposition (v3 only; an older daemon answers with a rejection).
+    /// exposition.
     ///
     /// # Errors
     ///
     /// Transport/protocol failures, [`ClientError::Rejected`] against a
-    /// pre-v3 daemon, or a daemon-side error frame.
+    /// daemon of another protocol version, or a daemon-side error frame.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         write_frame(&mut self.stream, REQ_METRICS, b"")?;
         let frame = read_frame(&mut self.stream)?;
@@ -193,7 +193,7 @@ impl GridClient {
         write_frame(&mut self.stream, kind, b"")?;
         let frame = read_frame(&mut self.stream)?;
         match frame.kind {
-            RESP_STATS => decode_stats(&frame.payload, frame.version)
+            RESP_STATS => decode_stats(&frame.payload)
                 .map_err(|_| ClientError::Protocol("bad stats frame".to_string())),
             kind => Err(unexpected(kind, &frame.payload)),
         }

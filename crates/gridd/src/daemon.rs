@@ -31,10 +31,10 @@
 //! content-addressed, a client retrying after any of these is idempotent —
 //! whatever was computed before the failure is served warm on the retry.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -42,16 +42,18 @@ use secbranch::campaign::{
     CampaignReport, CellKey, CellRequest, ExecutorPool, FaultModel, GridBackend, MatrixCellResult,
     OwnedModule, PoolError, SimulatorSource, TraceFetch, TraceKey, TraceStore,
 };
-use secbranch::obs::{Histogram, Registry};
+use secbranch::obs::{accumulate, Histogram, Registry};
 use secbranch::store::GridStore;
-use secbranch::{MatrixStats, Pipeline, SecurityCell, SecurityReport, Session, Workload};
+use secbranch::{
+    DecodeCounters, MatrixStats, Pipeline, SecurityCell, SecurityReport, Session, Workload,
+};
 
 use crate::catalog;
 use crate::protocol::{
     decode_grid_request, encode_cell, encode_done, encode_reject, encode_stats, read_frame,
-    write_frame, write_frame_versioned, CellFrame, DoneFrame, GridRequest, RejectFrame, Served,
-    StatsSnapshot, WireError, PROTOCOL_VERSION, REQ_GRID, REQ_METRICS, REQ_SHUTDOWN, REQ_STATS,
-    RESP_CELL, RESP_DONE, RESP_ERROR, RESP_METRICS, RESP_REJECT, RESP_STATS,
+    write_frame, CellFrame, DoneFrame, GridRequest, RejectFrame, Served, StatsSnapshot, WireError,
+    PROTOCOL_VERSION, REQ_GRID, REQ_METRICS, REQ_SHUTDOWN, REQ_STATS, RESP_CELL, RESP_DONE,
+    RESP_ERROR, RESP_METRICS, RESP_REJECT, RESP_STATS,
 };
 use crate::transport::{self, Listener, Stream};
 
@@ -124,21 +126,12 @@ struct Shared {
     /// Single-flight registry: cell identity → subscribers of the one
     /// in-flight computation.
     inflight: Mutex<HashMap<CellKey, Vec<Waiter>>>,
-    recent: Mutex<VecDeque<u64>>,
     shutdown: AtomicBool,
     addr: String,
-    requests: AtomicU64,
-    cells_requested: AtomicU64,
-    warm_cells: AtomicU64,
-    computed_cells: AtomicU64,
-    coalesced_cells: AtomicU64,
-    recordings: AtomicU64,
-    request_errors: AtomicU64,
-    version_rejects: AtomicU64,
-    snapshot_restores: AtomicU64,
-    suffix_steps_saved: AtomicU64,
-    decoded_programs: AtomicU64,
-    decode_micros: AtomicU64,
+    /// The daemon's own counters (the [`StatsSnapshot`] rows with a
+    /// `secbranch_gridd_*` series) and its recent-cell window; the pool,
+    /// trace-store and store rows are filled in when a snapshot is taken.
+    counters: Mutex<StatsSnapshot>,
     /// Program identities (`Arc` data pointers of the daemon's build-cached
     /// programs) whose decode cost is already accounted, so re-runs of an
     /// artifact never double-count the one decode it paid.
@@ -198,21 +191,9 @@ impl GridDaemon {
                 session: Mutex::new(Session::new()),
                 grid,
                 inflight: Mutex::new(HashMap::new()),
-                recent: Mutex::new(VecDeque::new()),
                 shutdown: AtomicBool::new(false),
                 addr,
-                requests: AtomicU64::new(0),
-                cells_requested: AtomicU64::new(0),
-                warm_cells: AtomicU64::new(0),
-                computed_cells: AtomicU64::new(0),
-                coalesced_cells: AtomicU64::new(0),
-                recordings: AtomicU64::new(0),
-                request_errors: AtomicU64::new(0),
-                version_rejects: AtomicU64::new(0),
-                snapshot_restores: AtomicU64::new(0),
-                suffix_steps_saved: AtomicU64::new(0),
-                decoded_programs: AtomicU64::new(0),
-                decode_micros: AtomicU64::new(0),
+                counters: Mutex::new(StatsSnapshot::default()),
                 decode_seen: Mutex::new(HashSet::new()),
                 model_micros: Mutex::new(BTreeMap::new()),
             }),
@@ -250,52 +231,30 @@ impl GridDaemon {
     }
 }
 
+impl Shared {
+    /// Bumps the daemon's own counters.
+    fn count(&self, bump: impl FnOnce(&mut StatsSnapshot)) {
+        bump(&mut self.counters.lock().expect("counters poisoned"));
+    }
+}
+
 /// One connection: a loop of request frames until the peer disconnects,
-/// breaks framing, or speaks the wrong protocol version. Every reply is
-/// framed (and, for stats, encoded) at the peer's version, so a
-/// [`MIN_PROTOCOL_VERSION`](crate::protocol::MIN_PROTOCOL_VERSION) client
-/// keeps working against a newer daemon.
+/// breaks framing, or speaks the wrong protocol version.
 fn handle_connection(shared: &Arc<Shared>, mut stream: Stream) {
     loop {
         match read_frame(&mut stream) {
             Ok(frame) => {
-                let version = frame.version;
                 let served = match frame.kind {
-                    REQ_GRID => handle_grid(shared, &mut stream, version, &frame.payload),
-                    REQ_STATS => write_frame_versioned(
-                        &mut stream,
-                        version,
-                        RESP_STATS,
-                        &encode_stats(&snapshot(shared), version),
-                    ),
-                    REQ_METRICS if version >= 3 => write_frame_versioned(
-                        &mut stream,
-                        version,
-                        RESP_METRICS,
-                        render_metrics(shared).as_bytes(),
-                    ),
+                    REQ_GRID => handle_grid(shared, &mut stream, &frame.payload),
+                    REQ_STATS => {
+                        write_frame(&mut stream, RESP_STATS, &encode_stats(&snapshot(shared)))
+                    }
                     REQ_METRICS => {
-                        // The frame kind arrived in v3: a v2 peer asking
-                        // for it gets a machine-readable rejection of the
-                        // *frame* — the connection stays usable.
-                        shared.version_rejects.fetch_add(1, Ordering::Relaxed);
-                        write_frame_versioned(
-                            &mut stream,
-                            version,
-                            RESP_REJECT,
-                            &encode_reject(RejectFrame {
-                                found: version,
-                                expected: PROTOCOL_VERSION,
-                            }),
-                        )
+                        write_frame(&mut stream, RESP_METRICS, render_metrics(shared).as_bytes())
                     }
                     REQ_SHUTDOWN => {
-                        let _ = write_frame_versioned(
-                            &mut stream,
-                            version,
-                            RESP_STATS,
-                            &encode_stats(&snapshot(shared), version),
-                        );
+                        let _ =
+                            write_frame(&mut stream, RESP_STATS, &encode_stats(&snapshot(shared)));
                         shared.shutdown.store(true, Ordering::SeqCst);
                         // The accept loop is blocked in accept(); a
                         // throwaway connection wakes it to observe the flag.
@@ -304,7 +263,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: Stream) {
                     }
                     kind => {
                         let message = format!("unsupported request kind {kind}");
-                        write_frame_versioned(&mut stream, version, RESP_ERROR, message.as_bytes())
+                        write_frame(&mut stream, RESP_ERROR, message.as_bytes())
                     }
                 };
                 if served.is_err() {
@@ -312,7 +271,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: Stream) {
                 }
             }
             Err(WireError::VersionMismatch { found, expected }) => {
-                shared.version_rejects.fetch_add(1, Ordering::Relaxed);
+                shared.count(|c| c.version_rejects += 1);
                 let _ = write_frame(
                     &mut stream,
                     RESP_REJECT,
@@ -441,28 +400,22 @@ fn plan_request(shared: &Shared, request: &GridRequest) -> Result<Plan, String> 
 /// `Ok` means the connection is still usable — request-level failures
 /// answer with an error frame and return `Ok`. `Err` is a transport
 /// failure.
-fn handle_grid(
-    shared: &Arc<Shared>,
-    stream: &mut Stream,
-    version: u32,
-    payload: &[u8],
-) -> io::Result<()> {
+fn handle_grid(shared: &Arc<Shared>, stream: &mut Stream, payload: &[u8]) -> io::Result<()> {
     let _span = secbranch::obs::span("request");
     let started = Instant::now();
     let request = match decode_grid_request(payload) {
         Ok(request) => request,
-        Err(_) => return refuse(shared, stream, version, "malformed grid request payload"),
+        Err(_) => return refuse(shared, stream, "malformed grid request payload"),
     };
     let plan = match plan_request(shared, &request) {
         Ok(plan) => plan,
-        Err(message) => return refuse(shared, stream, version, &message),
+        Err(message) => return refuse(shared, stream, &message),
     };
-    shared.requests.fetch_add(1, Ordering::Relaxed);
-
     let total = (plan.workloads.len() * plan.pipelines.len() * plan.models.len()) as u32;
-    shared
-        .cells_requested
-        .fetch_add(u64::from(total), Ordering::Relaxed);
+    shared.count(|c| {
+        c.requests += 1;
+        c.cells_requested += u64::from(total);
+    });
     let (tx, rx) = mpsc::channel::<CellOutcome>();
     let mut roles: Vec<Served> = Vec::with_capacity(total as usize);
     let mut reports: Vec<Option<CampaignReport>> = vec![None; total as usize];
@@ -500,7 +453,7 @@ fn handle_grid(
                     });
                     drop(inflight);
                     roles.push(Served::Coalesced);
-                    shared.coalesced_cells.fetch_add(1, Ordering::Relaxed);
+                    shared.count(|c| c.coalesced_cells += 1);
                     pending += 1;
                 } else if let Some(report) = shared
                     .grid
@@ -510,7 +463,7 @@ fn handle_grid(
                 {
                     drop(inflight);
                     roles.push(Served::StoreWarm);
-                    shared.warm_cells.fetch_add(1, Ordering::Relaxed);
+                    shared.count(|c| c.warm_cells += 1);
                     // The report moves into the frame for encoding and
                     // back out for assembly — no per-cell clone.
                     let cell = CellFrame {
@@ -523,7 +476,7 @@ fn handle_grid(
                         report,
                         compute_micros: 0,
                     };
-                    write_frame_versioned(stream, version, RESP_CELL, &encode_cell(&cell))?;
+                    write_frame(stream, RESP_CELL, &encode_cell(&cell))?;
                     reports[index as usize] = Some(cell.report);
                 } else {
                     inflight.insert(
@@ -644,7 +597,7 @@ fn handle_grid(
                     report: delivered.report,
                     compute_micros: compute_micros[index as usize],
                 };
-                write_frame_versioned(stream, version, RESP_CELL, &encode_cell(&cell))?;
+                write_frame(stream, RESP_CELL, &encode_cell(&cell))?;
                 reports[index as usize] = Some(cell.report);
             }
             Err(message) => {
@@ -654,30 +607,21 @@ fn handle_grid(
     }
     drop(stream_span);
     if let Some(message) = failure {
-        return refuse(shared, stream, version, &message);
+        return refuse(shared, stream, &message);
     }
 
     // Decode-cost accounting, exactly like a local matrix run: each
-    // build-cached program decodes at most once no matter how many
-    // requests exercise it, so the counters only move the first time a
-    // decoded program is seen.
-    {
-        let mut seen = shared.decode_seen.lock().expect("decode_seen poisoned");
-        for (source, _, _) in &plan.artifacts {
-            let program = &source.compiled.program;
-            let identity = Arc::as_ptr(program) as *const () as usize;
-            if seen.contains(&identity) {
-                continue;
-            }
-            // A program served entirely warm has not decoded yet; leave it
-            // unmarked so the request that eventually decodes it counts it.
-            if let Some((_, micros)) = program.decode_stats() {
-                seen.insert(identity);
-                shared.decoded_programs.fetch_add(1, Ordering::Relaxed);
-                shared.decode_micros.fetch_add(micros, Ordering::Relaxed);
-            }
-        }
-    }
+    // build-cached program counts once, the first time a request finds it
+    // decoded, no matter how many requests exercise it.
+    let programs = plan
+        .artifacts
+        .iter()
+        .map(|(source, _, _)| &source.compiled.program);
+    let decode = DecodeCounters::count(
+        programs,
+        &mut shared.decode_seen.lock().expect("decode_seen poisoned"),
+    );
+    shared.count(|c| accumulate(c, &decode));
 
     // Assemble the canonical report — identical in shape (and bytes) to a
     // local `Session::security_matrix_with` over the same grid.
@@ -724,9 +668,8 @@ fn handle_grid(
             ..MatrixStats::default()
         },
     };
-    write_frame_versioned(
+    write_frame(
         stream,
-        version,
         RESP_DONE,
         &encode_done(&DoneFrame {
             report_json: report.to_json(),
@@ -763,9 +706,9 @@ fn deadline_message(request: &GridRequest) -> String {
 }
 
 /// Answers a request-level failure and keeps the connection.
-fn refuse(shared: &Shared, stream: &mut Stream, version: u32, message: &str) -> io::Result<()> {
-    shared.request_errors.fetch_add(1, Ordering::Relaxed);
-    write_frame_versioned(stream, version, RESP_ERROR, message.as_bytes())
+fn refuse(shared: &Shared, stream: &mut Stream, message: &str) -> io::Result<()> {
+    shared.count(|c| c.request_errors += 1);
+    write_frame(stream, RESP_ERROR, message.as_bytes())
 }
 
 /// Pool-callback side of single-flight: take the subscriber list (making
@@ -785,21 +728,20 @@ fn complete_cell(
         .unwrap_or_default();
     let outcome: Result<Delivered, String> = match result {
         Ok(cell) => {
-            if cell.cell_hit {
-                shared.warm_cells.fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared.computed_cells.fetch_add(1, Ordering::Relaxed);
-            }
             let recorded = cell.trace_fetch == Some(TraceFetch::Recorded);
-            if recorded {
-                shared.recordings.fetch_add(1, Ordering::Relaxed);
-            }
-            shared
-                .snapshot_restores
-                .fetch_add(cell.snapshot_restores, Ordering::Relaxed);
-            shared
-                .suffix_steps_saved
-                .fetch_add(cell.suffix_steps_saved, Ordering::Relaxed);
+            shared.count(|c| {
+                if cell.cell_hit {
+                    c.warm_cells += 1;
+                } else {
+                    c.computed_cells += 1;
+                }
+                c.recordings += u64::from(recorded);
+                accumulate(c, &cell.work);
+                if c.recent_cell_micros.len() == RECENT_CELLS {
+                    c.recent_cell_micros.remove(0);
+                }
+                c.recent_cell_micros.push(cell.compute_micros);
+            });
             if !cell.cell_hit {
                 shared
                     .model_micros
@@ -829,12 +771,6 @@ fn complete_cell(
                     cell.snapshot_restores,
                 );
             }
-            let mut recent = shared.recent.lock().expect("recent poisoned");
-            if recent.len() == RECENT_CELLS {
-                recent.pop_front();
-            }
-            recent.push_back(cell.compute_micros);
-            drop(recent);
             Ok(Delivered {
                 report: cell.report,
                 compute_micros: cell.compute_micros,
@@ -857,17 +793,9 @@ fn complete_cell(
 /// counters ∪ persistent-store counters.
 fn snapshot(shared: &Shared) -> StatsSnapshot {
     let pool = shared.pool.stats();
-    let traces = shared.pool.store();
+    let traces = shared.pool.store().stats();
     StatsSnapshot {
         protocol_version: PROTOCOL_VERSION,
-        requests: shared.requests.load(Ordering::Relaxed),
-        cells_requested: shared.cells_requested.load(Ordering::Relaxed),
-        warm_cells: shared.warm_cells.load(Ordering::Relaxed),
-        computed_cells: shared.computed_cells.load(Ordering::Relaxed),
-        coalesced_cells: shared.coalesced_cells.load(Ordering::Relaxed),
-        recordings: shared.recordings.load(Ordering::Relaxed),
-        request_errors: shared.request_errors.load(Ordering::Relaxed),
-        version_rejects: shared.version_rejects.load(Ordering::Relaxed),
         queue_depth: pool.queued as u64,
         in_flight: pool.in_flight,
         workers: pool.workers as u64,
@@ -877,84 +805,23 @@ fn snapshot(shared: &Shared) -> StatsSnapshot {
         pool_errored: pool.errored,
         pool_expired: pool.expired,
         pool_compute_micros: pool.compute_micros,
-        trace_hits: traces.hits(),
-        trace_disk_hits: traces.disk_hits(),
-        trace_misses: traces.misses(),
-        decoded_programs: shared.decoded_programs.load(Ordering::Relaxed),
-        decode_micros: shared.decode_micros.load(Ordering::Relaxed),
-        snapshot_restores: shared.snapshot_restores.load(Ordering::Relaxed),
-        suffix_steps_saved: shared.suffix_steps_saved.load(Ordering::Relaxed),
-        recent_cell_micros: shared
-            .recent
-            .lock()
-            .expect("recent poisoned")
-            .iter()
-            .copied()
-            .collect(),
+        trace_hits: traces.hits,
+        trace_disk_hits: traces.disk_hits,
+        trace_misses: traces.misses,
         store: shared.grid.as_ref().map(|grid| grid.stats()),
+        ..shared.counters.lock().expect("counters poisoned").clone()
     }
 }
 
-/// The `METRICS` surface: every counter family of the daemon — its own
-/// request/cell counters, the pool, the trace store, the persistent store
-/// (when attached) and per-model compute-latency histograms — rendered as
-/// a Prometheus-style text exposition. Derived observability data only;
-/// nothing here feeds reports, fingerprints or persistence.
+/// The `METRICS` surface: the daemon's own and the store's counters (via
+/// the snapshot), the pool's, the trace store's and per-model compute
+/// histograms, each registered from its declared table. Derived
+/// observability data only.
 fn render_metrics(shared: &Shared) -> String {
     let mut registry = Registry::new();
-    registry.counter(
-        "secbranch_gridd_requests_total",
-        shared.requests.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_cells_requested_total",
-        shared.cells_requested.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_warm_cells_total",
-        shared.warm_cells.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_computed_cells_total",
-        shared.computed_cells.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_coalesced_cells_total",
-        shared.coalesced_cells.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_recordings_total",
-        shared.recordings.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_request_errors_total",
-        shared.request_errors.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_version_rejects_total",
-        shared.version_rejects.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_snapshot_restores_total",
-        shared.snapshot_restores.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_suffix_steps_saved_total",
-        shared.suffix_steps_saved.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_decoded_programs_total",
-        shared.decoded_programs.load(Ordering::Relaxed),
-    );
-    registry.counter(
-        "secbranch_gridd_decode_micros_total",
-        shared.decode_micros.load(Ordering::Relaxed),
-    );
-    shared.pool.stats().register_into(&mut registry);
-    shared.pool.store().register_into(&mut registry);
-    if let Some(grid) = &shared.grid {
-        grid.stats().register_into(&mut registry);
-    }
+    registry.register(&snapshot(shared));
+    registry.register(&shared.pool.stats());
+    registry.register(&shared.pool.store().stats());
     for (model, histogram) in shared
         .model_micros
         .lock()

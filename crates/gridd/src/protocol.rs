@@ -27,6 +27,7 @@
 
 use std::io::{self, Read, Write};
 
+use secbranch::obs::CounterSet;
 use secbranch_campaign::CampaignReport;
 use secbranch_store::format::{crc32, Reader, RecordError, Writer};
 use secbranch_store::StoreStats;
@@ -34,20 +35,13 @@ use secbranch_store::StoreStats;
 /// Magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"SBGD";
 
-/// The protocol version this build speaks. Bump on any frame or payload
-/// layout change — peers refuse other versions instead of misparsing them.
-/// v2 added [`GridRequest::cold`] (the decoders reject trailing bytes, so
-/// the field could not ride on v1 frames). v3 added the `REQ_METRICS` /
-/// `RESP_METRICS` exchange and four executor counters to
-/// [`StatsSnapshot`]; v2 peers are still served (see
-/// [`MIN_PROTOCOL_VERSION`]) — every reply is framed and encoded at the
-/// peer's version, with the v3-only stats fields left off v2 payloads.
-pub const PROTOCOL_VERSION: u32 = 3;
-
-/// The oldest protocol version this build still serves. Frames between
-/// here and [`PROTOCOL_VERSION`] are accepted and answered at the peer's
-/// version; anything older (or newer) is rejected with a [`RejectFrame`].
-pub const MIN_PROTOCOL_VERSION: u32 = 2;
+/// The protocol version this build speaks and the only one it accepts —
+/// peers refuse other versions instead of misparsing them. Bump on any
+/// frame or payload layout change. v2 added [`GridRequest::cold`], v3 the
+/// `REQ_METRICS` / `RESP_METRICS` exchange, and v4 made the [`StatsSnapshot`]
+/// payload a self-describing list of (name, value) counters, so adding a
+/// counter no longer changes the protocol.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Upper bound on a frame payload; a corrupted or hostile length prefix
 /// fails the read instead of triggering a giant allocation.
@@ -69,9 +63,7 @@ pub const REQ_STATS: u8 = 2;
 /// with a final [`StatsSnapshot`].
 pub const REQ_SHUTDOWN: u8 = 3;
 /// Client → daemon: return a Prometheus-style text exposition of the
-/// daemon's metrics registry (empty payload). v3 only — a v2 peer sending
-/// this kind gets a [`RejectFrame`] for the frame, without losing the
-/// connection.
+/// daemon's metrics registry (empty payload).
 pub const REQ_METRICS: u8 = 4;
 
 /// Daemon → client: one finished cell of the running grid request
@@ -84,9 +76,7 @@ pub const RESP_STATS: u8 = 18;
 /// Daemon → client: the request failed (a UTF-8 message payload).
 pub const RESP_ERROR: u8 = 19;
 /// Daemon → client: protocol version mismatch (a [`RejectFrame`] payload);
-/// the daemon closes the connection after sending it — except for a v2
-/// peer's [`REQ_METRICS`], which is rejected per-frame with the
-/// connection kept open.
+/// the daemon closes the connection after sending it.
 pub const RESP_REJECT: u8 = 20;
 /// Daemon → client: a Prometheus-style text exposition (UTF-8 payload).
 pub const RESP_METRICS: u8 = 21;
@@ -138,40 +128,21 @@ impl From<RecordError> for WireError {
 /// One frame as read off the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// The protocol version the frame carried (within
-    /// [`MIN_PROTOCOL_VERSION`]..=[`PROTOCOL_VERSION`]).
-    pub version: u32,
     /// The kind tag (one of the `REQ_*`/`RESP_*` constants).
     pub kind: u8,
     /// The raw payload bytes.
     pub payload: Vec<u8>,
 }
 
-/// Writes one frame at this build's own [`PROTOCOL_VERSION`].
+/// Writes one frame at [`PROTOCOL_VERSION`].
 ///
 /// # Errors
 ///
 /// Propagates stream I/O failures.
 pub fn write_frame(stream: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
-    write_frame_versioned(stream, PROTOCOL_VERSION, kind, payload)
-}
-
-/// Writes one frame stamped with an explicit protocol version — how the
-/// daemon answers a [`MIN_PROTOCOL_VERSION`] peer in the version it
-/// speaks.
-///
-/// # Errors
-///
-/// Propagates stream I/O failures.
-pub fn write_frame_versioned(
-    stream: &mut impl Write,
-    version: u32,
-    kind: u8,
-    payload: &[u8],
-) -> io::Result<()> {
     let mut header = Vec::with_capacity(HEADER_LEN + payload.len());
     header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&version.to_le_bytes());
+    header.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     header.push(kind);
     header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     header.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -186,8 +157,7 @@ pub fn write_frame_versioned(
 ///
 /// [`WireError::Io`] on stream failure (including a clean peer disconnect,
 /// which surfaces as `UnexpectedEof`), [`WireError::VersionMismatch`] when
-/// the frame carries a version outside
-/// [`MIN_PROTOCOL_VERSION`]..=[`PROTOCOL_VERSION`],
+/// the frame carries any version but [`PROTOCOL_VERSION`],
 /// [`WireError::Corrupt`] on bad magic, an oversized length or a CRC
 /// mismatch.
 pub fn read_frame(stream: &mut impl Read) -> Result<Frame, WireError> {
@@ -197,7 +167,7 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Frame, WireError> {
         return Err(WireError::Corrupt);
     }
     let version = u32::from_le_bytes(header[4..8].try_into().expect("length checked"));
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(WireError::VersionMismatch {
             found: version,
             expected: PROTOCOL_VERSION,
@@ -217,11 +187,7 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Frame, WireError> {
     if crc32(&payload) != crc {
         return Err(WireError::Corrupt);
     }
-    Ok(Frame {
-        version,
-        kind,
-        payload,
-    })
+    Ok(Frame { kind, payload })
 }
 
 // --- grid requests --------------------------------------------------------
@@ -523,245 +489,155 @@ pub fn decode_reject(payload: &[u8]) -> Result<RejectFrame, RecordError> {
 
 // --- observability --------------------------------------------------------
 
-/// The daemon's observability surface: a superset of the per-run
-/// `MatrixStats` — lifetime request/cell counters, the job queue, the
-/// shared trace store, recent per-cell compute times, and the persistent
-/// store's own counters when one is attached.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// The daemon's protocol version.
-    pub protocol_version: u32,
-    /// Grid requests admitted.
-    pub requests: u64,
-    /// Cells requested across all grid requests.
-    pub cells_requested: u64,
-    /// Cells served from the grid store without simulation.
-    pub warm_cells: u64,
-    /// Cells computed on the worker pool.
-    pub computed_cells: u64,
-    /// Cells coalesced onto an identical in-flight computation
-    /// (single-flight).
-    pub coalesced_cells: u64,
-    /// Reference traces recorded by the daemon (lifetime).
-    pub recordings: u64,
-    /// Requests refused or failed (validation, budgets, simulation
-    /// errors, deadlines).
-    pub request_errors: u64,
-    /// Connections rejected for speaking a foreign protocol version.
-    pub version_rejects: u64,
-    /// Jobs currently waiting in the bounded queue.
-    pub queue_depth: u64,
-    /// Jobs currently executing on workers.
-    pub in_flight: u64,
-    /// Worker threads of the pool.
-    pub workers: u64,
-    /// Capacity of the bounded job queue.
-    pub queue_capacity: u64,
-    /// Jobs ever admitted to the pool.
-    pub pool_submitted: u64,
-    /// Jobs completed successfully.
-    pub pool_completed: u64,
-    /// Jobs whose fault-free reference run failed.
-    pub pool_errored: u64,
-    /// Jobs dropped unexecuted because the request deadline passed while
-    /// they were still queued.
-    pub pool_expired: u64,
-    /// Injection compute time summed over all completed cells, in µs.
-    pub pool_compute_micros: u64,
-    /// Reference traces served from the in-memory trace store.
-    pub trace_hits: u64,
-    /// Reference traces loaded from the persistent store.
-    pub trace_disk_hits: u64,
-    /// Reference traces that had to be recorded.
-    pub trace_misses: u64,
-    /// Distinct programs decoded into micro-ops by the daemon's executors
-    /// (v3; encoded as zero-left-off on v2 frames).
-    pub decoded_programs: u64,
-    /// Wall-clock microseconds spent in those decodes (v3).
-    pub decode_micros: u64,
-    /// Spine-snapshot restores across all computed cells (v3).
-    pub snapshot_restores: u64,
-    /// Reference-suffix steps the differential executors avoided
-    /// executing (v3).
-    pub suffix_steps_saved: u64,
-    /// Compute µs of the most recently completed cells (newest last).
-    pub recent_cell_micros: Vec<u64>,
-    /// The attached grid store's runtime counters (`None` when the daemon
-    /// runs without persistence).
-    pub store: Option<StoreStats>,
-}
-
-impl StatsSnapshot {
-    /// Serialises the snapshot as JSON (hand-rolled: the offline build has
-    /// no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let recent: Vec<String> = self.recent_cell_micros.iter().map(u64::to_string).collect();
-        format!(
-            "{{\"protocol_version\":{},\"requests\":{},\"cells_requested\":{},\
-             \"warm_cells\":{},\"computed_cells\":{},\"coalesced_cells\":{},\
-             \"recordings\":{},\"request_errors\":{},\"version_rejects\":{},\
-             \"queue_depth\":{},\"in_flight\":{},\"workers\":{},\"queue_capacity\":{},\
-             \"pool_submitted\":{},\"pool_completed\":{},\"pool_errored\":{},\
-             \"pool_expired\":{},\"pool_compute_micros\":{},\"trace_hits\":{},\
-             \"trace_disk_hits\":{},\"trace_misses\":{},\"decoded_programs\":{},\
-             \"decode_micros\":{},\"snapshot_restores\":{},\"suffix_steps_saved\":{},\
-             \"recent_cell_micros\":[{}],\"store\":{}}}",
-            self.protocol_version,
-            self.requests,
-            self.cells_requested,
-            self.warm_cells,
-            self.computed_cells,
-            self.coalesced_cells,
-            self.recordings,
-            self.request_errors,
-            self.version_rejects,
-            self.queue_depth,
-            self.in_flight,
-            self.workers,
-            self.queue_capacity,
-            self.pool_submitted,
-            self.pool_completed,
-            self.pool_errored,
-            self.pool_expired,
-            self.pool_compute_micros,
-            self.trace_hits,
-            self.trace_disk_hits,
-            self.trace_misses,
-            self.decoded_programs,
-            self.decode_micros,
-            self.snapshot_restores,
-            self.suffix_steps_saved,
-            recent.join(","),
-            self.store
-                .as_ref()
-                .map_or_else(|| "null".to_string(), StoreStats::to_json),
-        )
+secbranch::obs::counter_set! {
+    /// The daemon's observability surface: lifetime request/cell counters,
+    /// the job queue, the shared trace store, recent per-cell compute times,
+    /// and the persistent store's own counters when one is attached. Rows
+    /// with a series are the daemon's own counters; the pool and trace-store
+    /// rows mirror [`PoolStats`](secbranch_campaign::PoolStats) and
+    /// [`TraceStoreStats`](secbranch_campaign::TraceStoreStats), whose own
+    /// tables name their series.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct StatsSnapshot {
+        /// The daemon's protocol version.
+        protocol_version: u32 => gauge "secbranch_gridd_protocol_version",
+        /// Grid requests admitted.
+        requests: u64 => counter "secbranch_gridd_requests_total",
+        /// Cells requested across all grid requests.
+        cells_requested: u64 => counter "secbranch_gridd_cells_requested_total",
+        /// Cells served from the grid store without simulation.
+        warm_cells: u64 => counter "secbranch_gridd_warm_cells_total",
+        /// Cells computed on the worker pool.
+        computed_cells: u64 => counter "secbranch_gridd_computed_cells_total",
+        /// Cells coalesced onto an identical in-flight computation
+        /// (single-flight).
+        coalesced_cells: u64 => counter "secbranch_gridd_coalesced_cells_total",
+        /// Reference traces recorded by the daemon (lifetime).
+        recordings: u64 => counter "secbranch_gridd_recordings_total",
+        /// Requests refused or failed (validation, budgets, simulation
+        /// errors, deadlines).
+        request_errors: u64 => counter "secbranch_gridd_request_errors_total",
+        /// Connections rejected for speaking a foreign protocol version.
+        version_rejects: u64 => counter "secbranch_gridd_version_rejects_total",
+        /// Jobs currently waiting in the bounded queue.
+        queue_depth: u64,
+        /// Jobs currently executing on workers.
+        in_flight: u64,
+        /// Worker threads of the pool.
+        workers: u64,
+        /// Capacity of the bounded job queue.
+        queue_capacity: u64,
+        /// Jobs ever admitted to the pool.
+        pool_submitted: u64,
+        /// Jobs completed successfully.
+        pool_completed: u64,
+        /// Jobs whose fault-free reference run failed.
+        pool_errored: u64,
+        /// Jobs dropped unexecuted because the request deadline passed
+        /// while they were still queued.
+        pool_expired: u64,
+        /// Injection compute time summed over all completed cells, in µs.
+        pool_compute_micros: u64,
+        /// Reference traces served from the in-memory trace store.
+        trace_hits: u64,
+        /// Reference traces loaded from the persistent store.
+        trace_disk_hits: u64,
+        /// Reference traces that had to be recorded.
+        trace_misses: u64,
+        /// Distinct programs decoded into micro-ops by the daemon's
+        /// executors.
+        decoded_programs: u64 => counter "secbranch_gridd_decoded_programs_total",
+        /// Wall-clock microseconds spent in those decodes.
+        decode_micros: u64 => counter "secbranch_gridd_decode_micros_total",
+        /// Spine-snapshot restores across all computed cells.
+        snapshot_restores: u64 => counter "secbranch_gridd_snapshot_restores_total",
+        /// Reference-suffix steps the differential executors avoided
+        /// executing.
+        suffix_steps_saved: u64 => counter "secbranch_gridd_suffix_steps_saved_total",
+        /// Compute µs of the most recently completed cells (newest last).
+        recent_cell_micros: Vec<u64>,
+        /// The attached grid store's runtime counters (`None` when the
+        /// daemon runs without persistence).
+        store: Option<StoreStats>,
     }
 }
 
-/// Encodes a [`StatsSnapshot`] payload for a peer speaking `version`.
-/// The four executor counters added in v3 are left off v2 payloads —
-/// the decoders reject trailing bytes, so they cannot ride along.
+/// Writes the scalar rows of `set` as a counted list of (name, value)
+/// pairs.
+fn write_counters(w: &mut Writer, set: &impl CounterSet) {
+    let mut pairs = Vec::new();
+    set.visit(&mut |row, field| {
+        if let Some(value) = field.scalar() {
+            pairs.push((row.key, value));
+        }
+    });
+    w.u32(pairs.len() as u32);
+    for (name, value) in pairs {
+        w.str(name);
+        w.u64(value);
+    }
+}
+
+/// Reads a list written by [`write_counters`] into a fresh `T`: names `T`
+/// does not declare are skipped (a newer peer's counters), names the list
+/// lacks read as zero (an older peer's). A declared name given twice, or
+/// with a value its field cannot hold, is corrupt. Nothing is reserved up
+/// front and skipped names are not remembered, so a hostile count or name
+/// list costs at most the payload it arrived in.
+fn read_counters<T: CounterSet + Default>(r: &mut Reader<'_>) -> Result<T, RecordError> {
+    let mut set = T::default();
+    let mut seen: Vec<&'static str> = Vec::new();
+    for _ in 0..r.u32()? {
+        let name = r.str()?;
+        let value = r.u64()?;
+        let mut outcome = None;
+        set.visit_mut(&mut |row, field| {
+            if row.key == name {
+                outcome = Some((row.key, field.set_scalar(value)));
+            }
+        });
+        match outcome {
+            None => {}
+            Some((key, true)) if !seen.contains(&key) => seen.push(key),
+            Some(_) => return Err(RecordError::Corrupt),
+        }
+    }
+    Ok(set)
+}
+
+/// Encodes a [`StatsSnapshot`] payload: the snapshot's counters as
+/// (name, value) pairs, the recent compute times, then a presence byte and
+/// the store's counters as pairs.
 #[must_use]
-pub fn encode_stats(stats: &StatsSnapshot, version: u32) -> Vec<u8> {
+pub fn encode_stats(stats: &StatsSnapshot) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u32(stats.protocol_version);
-    for v in [
-        stats.requests,
-        stats.cells_requested,
-        stats.warm_cells,
-        stats.computed_cells,
-        stats.coalesced_cells,
-        stats.recordings,
-        stats.request_errors,
-        stats.version_rejects,
-        stats.queue_depth,
-        stats.in_flight,
-        stats.workers,
-        stats.queue_capacity,
-        stats.pool_submitted,
-        stats.pool_completed,
-        stats.pool_errored,
-        stats.pool_expired,
-        stats.pool_compute_micros,
-        stats.trace_hits,
-        stats.trace_disk_hits,
-        stats.trace_misses,
-    ] {
-        w.u64(v);
-    }
-    if version >= 3 {
-        w.u64(stats.decoded_programs);
-        w.u64(stats.decode_micros);
-        w.u64(stats.snapshot_restores);
-        w.u64(stats.suffix_steps_saved);
-    }
+    write_counters(&mut w, stats);
     w.u64s(&stats.recent_cell_micros);
     match &stats.store {
         None => w.u8(0),
-        Some(s) => {
+        Some(store) => {
             w.u8(1);
-            for v in [
-                s.trace_hits,
-                s.trace_misses,
-                s.cell_hits,
-                s.cell_misses,
-                s.writes,
-                s.write_skips,
-                s.write_errors,
-                s.corrupt_dropped,
-                s.migrated,
-            ] {
-                w.u64(v);
-            }
+            write_counters(&mut w, store);
         }
     }
     w.into_bytes()
 }
 
-/// Decodes a [`StatsSnapshot`] payload encoded for a peer speaking
-/// `version`; on a v2 payload the v3-only counters stay zero.
+/// Decodes a [`StatsSnapshot`] payload. Counter names this build does not
+/// declare are skipped (a newer peer's) and declared names the payload
+/// lacks read as zero (an older peer's).
 ///
 /// # Errors
 ///
-/// [`RecordError::Corrupt`] on any malformed byte sequence.
-pub fn decode_stats(payload: &[u8], version: u32) -> Result<StatsSnapshot, RecordError> {
+/// [`RecordError::Corrupt`] on any malformed byte sequence, including a
+/// declared counter given twice.
+pub fn decode_stats(payload: &[u8]) -> Result<StatsSnapshot, RecordError> {
     let mut r = Reader::new(payload);
-    let mut stats = StatsSnapshot {
-        protocol_version: r.u32()?,
-        ..StatsSnapshot::default()
-    };
-    for field in [
-        &mut stats.requests,
-        &mut stats.cells_requested,
-        &mut stats.warm_cells,
-        &mut stats.computed_cells,
-        &mut stats.coalesced_cells,
-        &mut stats.recordings,
-        &mut stats.request_errors,
-        &mut stats.version_rejects,
-        &mut stats.queue_depth,
-        &mut stats.in_flight,
-        &mut stats.workers,
-        &mut stats.queue_capacity,
-        &mut stats.pool_submitted,
-        &mut stats.pool_completed,
-        &mut stats.pool_errored,
-        &mut stats.pool_expired,
-        &mut stats.pool_compute_micros,
-        &mut stats.trace_hits,
-        &mut stats.trace_disk_hits,
-        &mut stats.trace_misses,
-    ] {
-        *field = r.u64()?;
-    }
-    if version >= 3 {
-        stats.decoded_programs = r.u64()?;
-        stats.decode_micros = r.u64()?;
-        stats.snapshot_restores = r.u64()?;
-        stats.suffix_steps_saved = r.u64()?;
-    }
+    let mut stats: StatsSnapshot = read_counters(&mut r)?;
     stats.recent_cell_micros = r.u64s()?;
     stats.store = match r.u8()? {
         0 => None,
-        1 => {
-            let mut s = StoreStats::default();
-            for field in [
-                &mut s.trace_hits,
-                &mut s.trace_misses,
-                &mut s.cell_hits,
-                &mut s.cell_misses,
-                &mut s.writes,
-                &mut s.write_skips,
-                &mut s.write_errors,
-                &mut s.corrupt_dropped,
-                &mut s.migrated,
-            ] {
-                *field = r.u64()?;
-            }
-            Some(s)
-        }
+        1 => Some(read_counters(&mut r)?),
         _ => return Err(RecordError::Corrupt),
     };
     if !r.is_exhausted() {
@@ -886,6 +762,30 @@ mod tests {
         assert_eq!(decode_grid_request(&[1, 2]), Err(RecordError::Corrupt));
     }
 
+    fn sample_stats() -> StatsSnapshot {
+        StatsSnapshot {
+            protocol_version: PROTOCOL_VERSION,
+            requests: 5,
+            cells_requested: 60,
+            warm_cells: 40,
+            computed_cells: 15,
+            coalesced_cells: 5,
+            recordings: 6,
+            pool_expired: 4,
+            decoded_programs: 9,
+            decode_micros: 1_234,
+            snapshot_restores: 77,
+            suffix_steps_saved: 88_888,
+            recent_cell_micros: vec![10, 20, 30],
+            store: Some(StoreStats {
+                cell_hits: 40,
+                corrupt_dropped: 2,
+                ..StoreStats::default()
+            }),
+            ..StatsSnapshot::default()
+        }
+    }
+
     #[test]
     fn done_reject_and_stats_payloads_round_trip() {
         let done = DoneFrame {
@@ -908,33 +808,12 @@ mod tests {
             reject
         );
 
-        let stats = StatsSnapshot {
-            protocol_version: PROTOCOL_VERSION,
-            requests: 5,
-            cells_requested: 60,
-            warm_cells: 40,
-            computed_cells: 15,
-            coalesced_cells: 5,
-            recordings: 6,
-            pool_expired: 4,
-            decoded_programs: 9,
-            decode_micros: 1_234,
-            snapshot_restores: 77,
-            suffix_steps_saved: 88_888,
-            recent_cell_micros: vec![10, 20, 30],
-            store: Some(StoreStats {
-                cell_hits: 40,
-                migrated: 2,
-                ..StoreStats::default()
-            }),
-            ..StatsSnapshot::default()
-        };
-        let decoded = decode_stats(&encode_stats(&stats, PROTOCOL_VERSION), PROTOCOL_VERSION)
-            .expect("decodes");
+        let stats = sample_stats();
+        let decoded = decode_stats(&encode_stats(&stats)).expect("decodes");
         assert_eq!(decoded, stats);
         assert!(decoded.to_json().contains("\"coalesced_cells\":5"));
         assert!(decoded.to_json().contains("\"pool_expired\":4"));
-        assert!(decoded.to_json().contains("\"migrated\":2"));
+        assert!(decoded.to_json().contains("\"corrupt_dropped\":2"));
         assert!(decoded.to_json().contains("\"decoded_programs\":9"));
         assert!(decoded.to_json().contains("\"decode_micros\":1234"));
         assert!(decoded.to_json().contains("\"snapshot_restores\":77"));
@@ -942,61 +821,115 @@ mod tests {
 
         let stripped = StatsSnapshot::default();
         assert_eq!(
-            decode_stats(&encode_stats(&stripped, PROTOCOL_VERSION), PROTOCOL_VERSION)
-                .expect("decodes"),
+            decode_stats(&encode_stats(&stripped)).expect("decodes"),
             stripped
         );
         assert!(stripped.to_json().contains("\"store\":null"));
     }
 
+    /// A STATS payload whose counter list is written by hand: `counters`
+    /// as (name bytes, value) pairs, no recent cells, no store.
+    fn stats_payload<N: AsRef<[u8]>>(counters: &[(N, u64)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u32(counters.len() as u32);
+        for (name, value) in counters {
+            w.bytes(name.as_ref());
+            w.u64(*value);
+        }
+        w.u64s(&[]);
+        w.u8(0);
+        w.into_bytes()
+    }
+
     #[test]
-    fn v2_stats_payloads_drop_the_executor_counters_cleanly() {
-        let stats = StatsSnapshot {
-            protocol_version: PROTOCOL_VERSION,
-            requests: 3,
-            decoded_programs: 9,
-            decode_micros: 1_234,
-            snapshot_restores: 77,
-            suffix_steps_saved: 88_888,
-            recent_cell_micros: vec![42],
-            ..StatsSnapshot::default()
-        };
-        // A v2 payload carries no executor counters: the decoder (told it
-        // is v2) leaves them zero, and every other field round-trips.
-        let v2 = encode_stats(&stats, 2);
-        let decoded = decode_stats(&v2, 2).expect("decodes");
-        assert_eq!(decoded.requests, 3);
-        assert_eq!(decoded.recent_cell_micros, vec![42]);
-        assert_eq!(decoded.decoded_programs, 0);
-        assert_eq!(decoded.suffix_steps_saved, 0);
-        // The two layouts genuinely differ — the fields are not silently
-        // appended where a v2 decoder would choke on them.
+    fn stats_payloads_skip_unknown_counters_and_zero_missing_ones() {
+        // A newer peer's extra counter is skipped; a counter an older peer
+        // never sent reads as zero.
+        let payload = stats_payload(&[
+            ("protocol_version", 4),
+            ("requests", 3),
+            ("counter_from_the_future", 99),
+            ("warm_cells", 5),
+        ]);
+        let decoded = decode_stats(&payload).expect("decodes");
         assert_eq!(
-            encode_stats(&stats, PROTOCOL_VERSION).len(),
-            v2.len() + 4 * 8
+            decoded,
+            StatsSnapshot {
+                protocol_version: 4,
+                requests: 3,
+                warm_cells: 5,
+                ..StatsSnapshot::default()
+            }
         );
-        // Mismatched framing fails cleanly instead of misparsing.
+        assert_eq!(decoded.suffix_steps_saved, 0, "missing reads as zero");
+    }
+
+    #[test]
+    fn the_stats_decoder_fails_cleanly_on_damage() {
+        let payload = encode_stats(&sample_stats());
+        assert_eq!(decode_stats(&payload), Ok(sample_stats()));
+
+        // Every truncation is an error.
+        for len in 0..payload.len() {
+            assert_eq!(
+                decode_stats(&payload[..len]),
+                Err(RecordError::Corrupt),
+                "truncated to {len} bytes"
+            );
+        }
+        // Single bit flips never panic. A flip inside a value or a name
+        // byte can still be well formed (the frame CRC rejects it on the
+        // wire); every other flip is an error, and nothing decoded holds
+        // more than the payload carried.
+        let mut errors = 0;
+        for bit in 0..payload.len() * 8 {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            match decode_stats(&flipped) {
+                Ok(decoded) => assert!(decoded.recent_cell_micros.capacity() * 8 <= flipped.len()),
+                Err(_) => errors += 1,
+            }
+        }
+        assert!(errors > 0);
+        // An entry count inflated to u32::MAX runs out of bytes instead of
+        // reserving four billion entries.
+        let mut inflated = payload.clone();
+        inflated[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_stats(&inflated), Err(RecordError::Corrupt));
+        // A name that is not UTF-8.
         assert_eq!(
-            decode_stats(&v2, PROTOCOL_VERSION),
+            decode_stats(&stats_payload(&[(&[0xff, 0xfe][..], 1)])),
+            Err(RecordError::Corrupt)
+        );
+        // A declared counter given twice.
+        assert_eq!(
+            decode_stats(&stats_payload(&[("requests", 1), ("requests", 2)])),
+            Err(RecordError::Corrupt)
+        );
+        // A value its field cannot hold, and a pair naming a list.
+        assert_eq!(
+            decode_stats(&stats_payload(&[("protocol_version", 1 << 40)])),
+            Err(RecordError::Corrupt)
+        );
+        assert_eq!(
+            decode_stats(&stats_payload(&[("recent_cell_micros", 1)])),
             Err(RecordError::Corrupt)
         );
     }
 
     #[test]
     fn frames_of_every_served_version_are_accepted() {
-        for version in [MIN_PROTOCOL_VERSION, PROTOCOL_VERSION] {
-            let mut wire = Vec::new();
-            write_frame_versioned(&mut wire, version, REQ_STATS, b"").expect("writes");
-            let frame = read_frame(&mut wire.as_slice()).expect("reads");
-            assert_eq!(frame.version, version);
-            assert_eq!(frame.kind, REQ_STATS);
-        }
-        // One below the floor and one above the ceiling are both foreign.
-        for version in [MIN_PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
-            let mut wire = Vec::new();
-            write_frame_versioned(&mut wire, version, REQ_STATS, b"").expect("writes");
+        let mut wire = Vec::new();
+        write_frame(&mut wire, REQ_STATS, b"").expect("writes");
+        assert_eq!(wire[4..8], 4u32.to_le_bytes(), "this build speaks v4");
+        let frame = read_frame(&mut wire.as_slice()).expect("reads");
+        assert_eq!(frame.kind, REQ_STATS);
+        // v4 is the only version served: v3 and v5 are both foreign.
+        for version in [3u32, 5] {
+            let mut foreign = wire.clone();
+            foreign[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
-                read_frame(&mut wire.as_slice()),
+                read_frame(&mut foreign.as_slice()),
                 Err(WireError::VersionMismatch { found, expected: PROTOCOL_VERSION })
                     if found == version
             ));

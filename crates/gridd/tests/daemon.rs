@@ -1,9 +1,11 @@
 //! End-to-end daemon tests: byte-identity of daemon-served grids against
 //! local runs, warm serving with zero simulation, single-flight under
 //! concurrent clients, protocol-version rejection, per-request
-//! degradation, and golden key lists of every stats serialisation and
-//! `METRICS` family.
+//! degradation, and the exported counters: golden key lists of every stats
+//! serialisation and `METRICS` family, and one value per counter across
+//! `STATS`, its JSON and `METRICS`.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -11,6 +13,7 @@ use std::thread;
 use std::time::Duration;
 
 use secbranch::campaign::{FaultModel, MatrixExecutor};
+use secbranch::obs::CounterSet;
 use secbranch::store::StoreStats;
 use secbranch::{MatrixStats, SecurityReport, Session};
 use secbranch_gridd::{
@@ -398,7 +401,7 @@ fn metrics_expose_pool_store_and_executor_series() {
     // The computed cell observed exactly one compute-time sample.
     assert!(exposition.contains("secbranch_cell_compute_micros_count{model=\"skip\"} 1"));
 
-    // The connection survives the metrics round-trip, and the v3 STATS
+    // The connection survives the metrics round-trip, and the STATS
     // snapshot carries the executor counters end to end.
     let stats = client.stats().expect("stats serve");
     assert!(
@@ -412,42 +415,6 @@ fn metrics_expose_pool_store_and_executor_series() {
     assert!(json.contains("\"suffix_steps_saved\":"));
 
     daemon.stop();
-}
-
-#[test]
-fn v2_clients_survive_a_metrics_rejection_and_keep_their_connection() {
-    let daemon = RunningDaemon::start(DaemonConfig::default());
-
-    let mut stream = std::net::TcpStream::connect(&daemon.addr).expect("connects");
-    protocol::write_frame_versioned(&mut stream, 2, protocol::REQ_METRICS, b"")
-        .expect("v2 metrics request sends");
-
-    // METRICS is a v3 frame: a v2 peer is told so with a rejection carrying
-    // both versions...
-    let response = protocol::read_frame(&mut stream).expect("rejection arrives");
-    assert_eq!(response.kind, 20, "RESP_REJECT");
-    let reject = protocol::decode_reject(&response.payload).expect("decodes");
-    assert_eq!(reject.found, 2);
-    assert_eq!(reject.expected, protocol::PROTOCOL_VERSION);
-
-    // ...but unlike a foreign-version frame the connection stays open: a
-    // v2 STATS request on the same stream is answered in kind, with the
-    // v3-only executor counters cleanly absent from the payload.
-    protocol::write_frame_versioned(&mut stream, 2, protocol::REQ_STATS, b"")
-        .expect("v2 stats request sends");
-    let response = protocol::read_frame(&mut stream).expect("stats arrive");
-    assert_eq!(response.kind, 18, "RESP_STATS");
-    assert_eq!(
-        response.version, 2,
-        "replies are framed at the peer's version"
-    );
-    let stats = protocol::decode_stats(&response.payload, response.version).expect("v2 decodes");
-    assert_eq!(stats.protocol_version, protocol::PROTOCOL_VERSION);
-    assert_eq!(stats.decoded_programs, 0, "v3-only fields stay zero for v2");
-    drop(stream);
-
-    let stats = daemon.stop();
-    assert_eq!(stats.version_rejects, 1);
 }
 
 #[cfg(unix)]
@@ -488,8 +455,7 @@ const MATRIX_STATS_KEYS: &str =
     decoded_programs decoded_uops decode_micros";
 
 const STORE_STATS_KEYS: &str =
-    "trace_hits trace_misses cell_hits cell_misses writes write_skips write_errors corrupt_dropped \
-    migrated";
+    "trace_hits trace_misses cell_hits cell_misses writes write_skips write_errors corrupt_dropped";
 
 const STATS_SNAPSHOT_KEYS: &str =
     "protocol_version requests cells_requested warm_cells computed_cells \
@@ -507,6 +473,7 @@ const METRIC_FAMILIES: [&str; 39] = [
     "secbranch_gridd_computed_cells_total counter",
     "secbranch_gridd_decode_micros_total counter",
     "secbranch_gridd_decoded_programs_total counter",
+    "secbranch_gridd_protocol_version gauge",
     "secbranch_gridd_recordings_total counter",
     "secbranch_gridd_request_errors_total counter",
     "secbranch_gridd_requests_total counter",
@@ -526,7 +493,6 @@ const METRIC_FAMILIES: [&str; 39] = [
     "secbranch_store_cell_hits_total counter",
     "secbranch_store_cell_misses_total counter",
     "secbranch_store_corrupt_dropped_total counter",
-    "secbranch_store_migrated_total counter",
     "secbranch_store_trace_hits_total counter",
     "secbranch_store_trace_misses_total counter",
     "secbranch_store_write_errors_total counter",
@@ -598,6 +564,75 @@ fn stats_json_keys_and_metric_families_are_pinned() {
     assert_eq!(families, METRIC_FAMILIES);
     let json = client.stats().expect("stats serve").to_json();
     assert_eq!(json_keys(&json), with_store);
-    assert!(json.starts_with("{\"protocol_version\":3,"));
+    assert!(json.starts_with("{\"protocol_version\":4,"));
+    daemon.stop();
+}
+
+/// The `StatsSnapshot` rows that mirror a pool or trace-store counter,
+/// each with the series the owning layer's table gives it.
+const MIRRORED: &str = "queue_depth=secbranch_pool_queued in_flight=secbranch_pool_in_flight \
+    workers=secbranch_pool_workers queue_capacity=secbranch_pool_capacity \
+    pool_submitted=secbranch_pool_submitted_total pool_completed=secbranch_pool_completed_total \
+    pool_errored=secbranch_pool_errored_total pool_expired=secbranch_pool_expired_total \
+    pool_compute_micros=secbranch_pool_compute_micros_total \
+    trace_hits=secbranch_trace_store_hits_total trace_disk_hits=secbranch_trace_store_disk_hits_total \
+    trace_misses=secbranch_trace_store_misses_total";
+
+/// Every counter of one quiescent daemon reads the same in decoded
+/// `STATS`, in `StatsSnapshot::to_json` and in the `METRICS` text.
+#[test]
+fn stats_json_and_metrics_agree_on_every_counter() {
+    let store = TempDir::new("agree");
+    let (daemon, mut client) = cold_then_warm(&store);
+    let stats = client.stats().expect("stats serve");
+    let exposition = client.metrics().expect("metrics serve");
+    assert_eq!(client.stats().expect("stats serve"), stats, "quiescent");
+    let series: HashMap<&str, u64> = exposition
+        .lines()
+        .filter(|line| !line.starts_with('#') && !line.contains('{'))
+        .map(|line| {
+            let (name, value) = line.split_once(' ').expect("name value");
+            (name, value.parse().expect("integer value"))
+        })
+        .collect();
+    // The store object comes last: counters before it are the snapshot's
+    // own, counters in it the store's.
+    let json = stats.to_json();
+    let (json, _) = json.split_once("\"store\":").expect("store member");
+    let store_stats = stats.store.expect("the daemon has a store");
+    let store_json = store_stats.to_json().replace('}', ",");
+
+    let mut checked = 0;
+    let mut check = |key: &str, value: u64, metric: Option<(&str, _)>, json: &str| {
+        let name = metric
+            .map(|(name, _)| name)
+            .or_else(|| {
+                MIRRORED
+                    .split_whitespace()
+                    .find_map(|m| m.strip_prefix(&format!("{key}=")))
+            })
+            .unwrap_or_else(|| panic!("{key} has no series"));
+        assert!(
+            json.contains(&format!("\"{key}\":{value},")),
+            "{key} in JSON"
+        );
+        assert_eq!(series[name], value, "{key} as {name}");
+        checked += 1;
+    };
+    stats.visit(&mut |row, field| {
+        if let Some(value) = field.scalar() {
+            check(row.key, value, row.metric, json);
+        }
+    });
+    store_stats.visit(&mut |row, field| {
+        check(
+            row.key,
+            field.scalar().expect("scalar"),
+            row.metric,
+            &store_json,
+        );
+    });
+    assert_eq!(checked, 25 + 8, "every scalar counter was compared");
+    assert_eq!(series["secbranch_gridd_computed_cells_total"], 2);
     daemon.stop();
 }

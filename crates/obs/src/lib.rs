@@ -10,7 +10,7 @@
 //! > in report equality, artifact fingerprints, or persistence. Reports are
 //! > byte-identical with tracing enabled or disabled, at any thread count.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * **[`mod@clock`]** — a process-wide monotonic microsecond clock
 //!   ([`monotonic_micros`]). All span timestamps share this origin, so
@@ -24,12 +24,14 @@
 //!   [`chrome_trace_json`] exports drained events as Chrome trace-event
 //!   JSON loadable in `chrome://tracing` or Perfetto.
 //! * **[`mod@metrics`]** — a metrics registry ([`Registry`]: counters,
-//!   gauges, fixed-bucket latency [`Histogram`]s) that the per-layer stat
-//!   structs (`MatrixStats`, `PoolStats`, `StoreStats`, daemon counters)
-//!   register into, plus a deterministic Prometheus-style text renderer
-//!   ([`Registry::render_prometheus`]) and a nearest-rank [`percentile`]
-//!   helper. Histogram snapshots merge by plain addition, so merging is
-//!   associative across shards (test-enforced).
+//!   gauges, fixed-bucket latency [`Histogram`]s), a deterministic
+//!   Prometheus-style text renderer ([`Registry::render_prometheus`]) and
+//!   a nearest-rank [`percentile`] helper. Histogram snapshots merge by
+//!   plain addition, so merging is associative across shards
+//!   (test-enforced).
+//! * **[`mod@counters`]** — [`counter_set!`], how every per-layer stats
+//!   struct is declared: one row per counter gives its field, JSON key and
+//!   Prometheus series, and every exporter is generated from that table.
 //!
 //! # Example
 //!
@@ -54,10 +56,12 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod counters;
 pub mod metrics;
 pub mod trace;
 
 pub use clock::monotonic_micros;
+pub use counters::{accumulate, CounterSet, Field, Kind, Row};
 pub use metrics::{percentile, Histogram, HistogramSnapshot, Registry, BUCKET_BOUNDS};
 pub use trace::{
     chrome_trace_json, enabled, flush_thread, install_sink, span, span_with, uninstall_sink, Span,

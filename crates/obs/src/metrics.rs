@@ -1,13 +1,15 @@
 //! The metrics registry: counters, gauges, fixed-bucket latency histograms,
 //! and a deterministic Prometheus-style text renderer.
 //!
-//! The per-layer stat structs (`MatrixStats`, `PoolStats`, `StoreStats`,
-//! the daemon's counters) each implement a `register_into(&mut Registry)`
-//! that maps their fields onto this one schema; exporters then render the
-//! registry instead of every layer hand-rolling its own aggregation.
+//! The per-layer stat structs are declared with
+//! [`counter_set!`](crate::counter_set) and enter a registry through
+//! [`Registry::register`]; exporters then render the registry instead of
+//! every layer hand-rolling its own aggregation.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::counters::CounterSet;
 
 /// The fixed microsecond bucket upper bounds every latency histogram uses
 /// (a final overflow bucket catches everything above the last bound).
@@ -240,18 +242,13 @@ impl Registry {
 
     /// Registers a point-in-time gauge value.
     pub fn gauge(&mut self, name: &str, value: u64) {
-        self.gauge_with(name, &[], value);
+        self.gauges.insert((name.to_string(), String::new()), value);
     }
 
-    /// Registers a labelled gauge value.
-    pub fn gauge_with(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.gauges
-            .insert((name.to_string(), render_labels(labels)), value);
-    }
-
-    /// Registers a histogram snapshot.
-    pub fn histogram(&mut self, name: &str, snapshot: &HistogramSnapshot) {
-        self.histogram_with(name, &[], snapshot);
+    /// Registers every row of a declared counter set that names a series
+    /// (nested sets register their own rows).
+    pub fn register<T: CounterSet + ?Sized>(&mut self, set: &T) {
+        set.visit(&mut |row, field| field.register(row.metric, self));
     }
 
     /// Registers a labelled histogram snapshot.

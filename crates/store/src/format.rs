@@ -23,8 +23,10 @@
 pub const MAGIC: [u8; 4] = *b"SBGR";
 
 /// The current format version. Bump on any layout change — readers refuse
-/// other versions instead of misparsing them.
-pub const FORMAT_VERSION: u32 = 1;
+/// other versions instead of misparsing them. v2 retired the flat
+/// `<family>/<hash16>.rec` directory layout: records live only in shard
+/// subdirectories, so a v1 directory is refused instead of half-read.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Record kind tag of a reference-trace record.
 pub const KIND_TRACE: u8 = 1;

@@ -37,10 +37,7 @@
 //! file and concurrent writers of the same key are idempotent. Each family
 //! fans out across 256 shard subdirectories named by the first byte of that
 //! hash (`<hh>` = its two hex digits), keeping directories small at
-//! million-record scale; directories written by the flat PR 5 layout are
-//! migrated transparently, one record at a time, whenever a record is
-//! touched. Every record
-//! carries a magic/version header and a CRC-32 over its payload
+//! million-record scale. Every record carries a magic/version header and a CRC-32 over its payload
 //! ([`mod@format`]); writes go to `tmp/` and are published by an atomic rename,
 //! so a reader (or a second process sharing the directory) only ever sees
 //! complete records — a consistent snapshot, never a torn write. Damaged,
@@ -68,6 +65,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use secbranch_campaign::{
     CampaignReport, CellKey, GridBackend, PersistedTrace, RecordedReference, TraceKey,
@@ -128,119 +126,67 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// A point-in-time snapshot of a store's runtime counters (everything this
-/// process observed since [`GridStore::open`]; the on-disk totals come from
-/// [`GridStore::scan`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Trace loads served from disk.
-    pub trace_hits: u64,
-    /// Trace loads that found nothing (or nothing intact).
-    pub trace_misses: u64,
-    /// Cell loads served from disk.
-    pub cell_hits: u64,
-    /// Cell loads that found nothing (or nothing intact).
-    pub cell_misses: u64,
-    /// Records written (published by rename).
-    pub writes: u64,
-    /// Writes skipped because an intact record already existed.
-    pub write_skips: u64,
-    /// Writes that failed on I/O (best-effort: callers keep going).
-    pub write_errors: u64,
-    /// Record files dropped as damaged (bad magic/CRC/truncation/foreign
-    /// version/key collision) during loads.
-    pub corrupt_dropped: u64,
-    /// Flat-layout (PR 5) record files moved into their shard subdirectory
-    /// on first touch.
-    pub migrated: u64,
-}
-
-impl StoreStats {
-    /// Registers the counters into an observability [`secbranch_obs::Registry`]
-    /// (`secbranch_store_*` series) — the daemon's `METRICS` exposition
-    /// and any other exporter read them through this one schema.
-    pub fn register_into(&self, registry: &mut secbranch_obs::Registry) {
-        registry.counter("secbranch_store_trace_hits_total", self.trace_hits);
-        registry.counter("secbranch_store_trace_misses_total", self.trace_misses);
-        registry.counter("secbranch_store_cell_hits_total", self.cell_hits);
-        registry.counter("secbranch_store_cell_misses_total", self.cell_misses);
-        registry.counter("secbranch_store_writes_total", self.writes);
-        registry.counter("secbranch_store_write_skips_total", self.write_skips);
-        registry.counter("secbranch_store_write_errors_total", self.write_errors);
-        registry.counter(
-            "secbranch_store_corrupt_dropped_total",
-            self.corrupt_dropped,
-        );
-        registry.counter("secbranch_store_migrated_total", self.migrated);
-    }
-
-    /// Serialises the counters as JSON (hand-rolled: the offline build has
-    /// no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"trace_hits\":{},\"trace_misses\":{},\"cell_hits\":{},\"cell_misses\":{},\
-             \"writes\":{},\"write_skips\":{},\"write_errors\":{},\"corrupt_dropped\":{},\
-             \"migrated\":{}}}",
-            self.trace_hits,
-            self.trace_misses,
-            self.cell_hits,
-            self.cell_misses,
-            self.writes,
-            self.write_skips,
-            self.write_errors,
-            self.corrupt_dropped,
-            self.migrated,
-        )
+secbranch_obs::counter_set! {
+    /// A point-in-time snapshot of a store's runtime counters (everything
+    /// this process observed since [`GridStore::open`]; the on-disk totals
+    /// come from [`GridStore::scan`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct StoreStats {
+        /// Trace loads served from disk.
+        trace_hits: u64 => counter "secbranch_store_trace_hits_total",
+        /// Trace loads that found nothing (or nothing intact).
+        trace_misses: u64 => counter "secbranch_store_trace_misses_total",
+        /// Cell loads served from disk.
+        cell_hits: u64 => counter "secbranch_store_cell_hits_total",
+        /// Cell loads that found nothing (or nothing intact).
+        cell_misses: u64 => counter "secbranch_store_cell_misses_total",
+        /// Records written (published by rename).
+        writes: u64 => counter "secbranch_store_writes_total",
+        /// Writes skipped because an intact record already existed.
+        write_skips: u64 => counter "secbranch_store_write_skips_total",
+        /// Writes that failed on I/O (best-effort: callers keep going).
+        write_errors: u64 => counter "secbranch_store_write_errors_total",
+        /// Record files dropped as damaged (bad magic/CRC/truncation/foreign
+        /// version/key collision) during loads.
+        corrupt_dropped: u64 => counter "secbranch_store_corrupt_dropped_total",
     }
 }
 
-/// What [`GridStore::scan`] found on disk: a full-directory validation
-/// pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanReport {
-    /// Intact trace records.
-    pub trace_records: u64,
-    /// Intact cell records.
-    pub cell_records: u64,
-    /// Record files that failed validation (left in place; loads ignore
-    /// them and a later write of the same key replaces them).
-    pub corrupt_records: u64,
-    /// Total bytes of intact records (headers included).
-    pub total_bytes: u64,
-}
-
-impl ScanReport {
-    /// Serialises the scan as JSON (hand-rolled: the offline build has no
-    /// serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"format_version\":{},\"trace_records\":{},\"cell_records\":{},\
-             \"corrupt_records\":{},\"total_bytes\":{}}}",
-            format::FORMAT_VERSION,
-            self.trace_records,
-            self.cell_records,
-            self.corrupt_records,
-            self.total_bytes,
-        )
+secbranch_obs::counter_set! {
+    /// What [`GridStore::scan`] found on disk: a full-directory validation
+    /// pass.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ScanReport {
+        /// The format version of the scanned directory.
+        format_version: u32,
+        /// Intact trace records.
+        trace_records: u64,
+        /// Intact cell records.
+        cell_records: u64,
+        /// Record files that failed validation (left in place; loads ignore
+        /// them and a later write of the same key replaces them).
+        corrupt_records: u64,
+        /// Total bytes of intact records (headers included).
+        total_bytes: u64,
     }
 }
 
-/// What [`GridStore::compact`] did: removals by family, retained records,
-/// and bytes given back.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompactReport {
-    /// Intact records whose artifact is in the live set (kept).
-    pub retained: u64,
-    /// Trace records removed as dead (artifact not in the live set).
-    pub removed_traces: u64,
-    /// Cell records removed as dead.
-    pub removed_cells: u64,
-    /// Records removed because they were too damaged to classify.
-    pub removed_corrupt: u64,
-    /// Total size of the removed files, in bytes.
-    pub reclaimed_bytes: u64,
+secbranch_obs::counter_set! {
+    /// What [`GridStore::compact`] did: removals by family, retained
+    /// records, and bytes given back.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CompactReport {
+        /// Intact records whose artifact is in the live set (kept).
+        retained: u64,
+        /// Trace records removed as dead (artifact not in the live set).
+        removed_traces: u64,
+        /// Cell records removed as dead.
+        removed_cells: u64,
+        /// Records removed because they were too damaged to classify.
+        removed_corrupt: u64,
+        /// Total size of the removed files, in bytes.
+        reclaimed_bytes: u64,
+    }
 }
 
 impl CompactReport {
@@ -249,46 +195,21 @@ impl CompactReport {
     pub fn removed(&self) -> u64 {
         self.removed_traces + self.removed_cells + self.removed_corrupt
     }
-
-    /// Serialises the compaction outcome as JSON (hand-rolled: the offline
-    /// build has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"retained\":{},\"removed_traces\":{},\"removed_cells\":{},\
-             \"removed_corrupt\":{},\"reclaimed_bytes\":{}}}",
-            self.retained,
-            self.removed_traces,
-            self.removed_cells,
-            self.removed_corrupt,
-            self.reclaimed_bytes,
-        )
-    }
 }
 
-/// What [`GridStore::evict_to`] did: LRU eviction towards a byte budget.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvictReport {
-    /// Record files examined across both families.
-    pub examined: u64,
-    /// Files deleted, oldest modification time first.
-    pub evicted: u64,
-    /// Total size of the deleted files, in bytes.
-    pub reclaimed_bytes: u64,
-    /// Bytes remaining on disk after eviction.
-    pub retained_bytes: u64,
-}
-
-impl EvictReport {
-    /// Serialises the eviction outcome as JSON (hand-rolled: the offline
-    /// build has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"examined\":{},\"evicted\":{},\"reclaimed_bytes\":{},\
-             \"retained_bytes\":{}}}",
-            self.examined, self.evicted, self.reclaimed_bytes, self.retained_bytes,
-        )
+secbranch_obs::counter_set! {
+    /// What [`GridStore::evict_to`] did: LRU eviction towards a byte
+    /// budget.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct EvictReport {
+        /// Record files examined across both families.
+        examined: u64,
+        /// Files deleted, oldest modification time first.
+        evicted: u64,
+        /// Total size of the deleted files, in bytes.
+        reclaimed_bytes: u64,
+        /// Bytes remaining on disk after eviction.
+        retained_bytes: u64,
     }
 }
 
@@ -302,15 +223,7 @@ impl EvictReport {
 #[derive(Debug)]
 pub struct GridStore {
     root: PathBuf,
-    trace_hits: AtomicU64,
-    trace_misses: AtomicU64,
-    cell_hits: AtomicU64,
-    cell_misses: AtomicU64,
-    writes: AtomicU64,
-    write_skips: AtomicU64,
-    write_errors: AtomicU64,
-    corrupt_dropped: AtomicU64,
-    migrated: AtomicU64,
+    stats: Mutex<StoreStats>,
 }
 
 impl GridStore {
@@ -335,15 +248,7 @@ impl GridStore {
         sweep_stale_staging(&root.join("tmp"));
         let store = GridStore {
             root,
-            trace_hits: AtomicU64::new(0),
-            trace_misses: AtomicU64::new(0),
-            cell_hits: AtomicU64::new(0),
-            cell_misses: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            write_skips: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-            corrupt_dropped: AtomicU64::new(0),
-            migrated: AtomicU64::new(0),
+            stats: Mutex::new(StoreStats::default()),
         };
         store.check_manifest()?;
         Ok(store)
@@ -387,46 +292,21 @@ impl GridStore {
     /// A snapshot of this process's runtime counters.
     #[must_use]
     pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            trace_hits: self.trace_hits.load(Ordering::Relaxed),
-            trace_misses: self.trace_misses.load(Ordering::Relaxed),
-            cell_hits: self.cell_hits.load(Ordering::Relaxed),
-            cell_misses: self.cell_misses.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            write_skips: self.write_skips.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
-            corrupt_dropped: self.corrupt_dropped.load(Ordering::Relaxed),
-            migrated: self.migrated.load(Ordering::Relaxed),
-        }
+        *self.stats.lock().expect("store stats poisoned")
+    }
+
+    /// Bumps one runtime counter.
+    fn count(&self, bump: impl FnOnce(&mut StoreStats)) {
+        bump(&mut self.stats.lock().expect("store stats poisoned"));
     }
 
     /// The sharded path of a record: `<family>/<hh>/<hash16>.rec`, where
-    /// `<hh>` is the first byte of the key hash in hex. A flat-layout file
-    /// from PR 5 (`<family>/<hash16>.rec`) is migrated into its shard on
-    /// first touch — and if a sharded record already exists (another
-    /// process migrated or rewrote it first; records are content-addressed,
-    /// so both hold the same data), the flat leftover is removed instead.
+    /// `<hh>` is the first byte of the key hash in hex.
     fn record_path(&self, family: &str, hash: u64) -> PathBuf {
-        let family_root = self.root.join(family);
-        let sharded = family_root
+        self.root
+            .join(family)
             .join(format!("{:02x}", hash >> 56))
-            .join(format!("{hash:016x}.rec"));
-        let flat = family_root.join(format!("{hash:016x}.rec"));
-        if flat.exists() {
-            if sharded.exists() {
-                let _ = fs::remove_file(&flat);
-            } else {
-                if let Some(shard_dir) = sharded.parent() {
-                    let _ = fs::create_dir_all(shard_dir);
-                }
-                // Losing the rename race to a concurrent migrator is fine:
-                // the winner put the identical record in place.
-                if fs::rename(&flat, &sharded).is_ok() {
-                    self.migrated.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        sharded
+            .join(format!("{hash:016x}.rec"))
     }
 
     fn trace_path(&self, key: &TraceKey) -> PathBuf {
@@ -466,7 +346,7 @@ impl GridStore {
     fn put_record(&self, path: &Path, kind: u8, payload: &[u8]) {
         if let Ok(existing) = fs::read(path) {
             if parse_record(&existing, kind).is_ok() {
-                self.write_skips.fetch_add(1, Ordering::Relaxed);
+                self.count(|s| s.write_skips += 1);
                 return;
             }
         }
@@ -476,10 +356,10 @@ impl GridStore {
         }
         match self.publish(path, &frame_record(kind, payload)) {
             Ok(()) => {
-                self.writes.fetch_add(1, Ordering::Relaxed);
+                self.count(|s| s.writes += 1);
             }
             Err(_) => {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
+                self.count(|s| s.write_errors += 1);
             }
         }
     }
@@ -491,14 +371,14 @@ impl GridStore {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
             Err(_) => {
-                self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+                self.count(|s| s.corrupt_dropped += 1);
                 return None;
             }
         };
         match parse_record(&bytes, kind) {
             Ok(payload) => Some(payload.to_vec()),
             Err(RecordError::Corrupt | RecordError::Version(_)) => {
-                self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+                self.count(|s| s.corrupt_dropped += 1);
                 None
             }
         }
@@ -513,7 +393,7 @@ impl GridStore {
             let (stored_key, persisted) = match codec::decode_trace_payload(&payload) {
                 Ok(decoded) => decoded,
                 Err(_) => {
-                    self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+                    self.count(|s| s.corrupt_dropped += 1);
                     return None;
                 }
             };
@@ -522,10 +402,10 @@ impl GridStore {
             (stored_key == *key).then_some(persisted)
         };
         let result = fetch();
-        match &result {
-            Some(_) => self.trace_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.trace_misses.fetch_add(1, Ordering::Relaxed),
-        };
+        self.count(|s| match result {
+            Some(_) => s.trace_hits += 1,
+            None => s.trace_misses += 1,
+        });
         result
     }
 
@@ -547,17 +427,17 @@ impl GridStore {
             let (stored_key, report) = match codec::decode_cell_payload(&payload) {
                 Ok(decoded) => decoded,
                 Err(_) => {
-                    self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+                    self.count(|s| s.corrupt_dropped += 1);
                     return None;
                 }
             };
             (stored_key == *key).then_some(report)
         };
         let result = fetch();
-        match &result {
-            Some(_) => self.cell_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.cell_misses.fetch_add(1, Ordering::Relaxed),
-        };
+        self.count(|s| match result {
+            Some(_) => s.cell_hits += 1,
+            None => s.cell_misses += 1,
+        });
         result
     }
 
@@ -578,7 +458,10 @@ impl GridStore {
     /// [`StoreError::Io`] when a directory cannot be listed (individual
     /// unreadable files count as corrupt instead).
     pub fn scan(&self) -> Result<ScanReport, StoreError> {
-        let mut report = ScanReport::default();
+        let mut report = ScanReport {
+            format_version: Self::FORMAT_VERSION,
+            ..ScanReport::default()
+        };
         for (sub, kind, tally) in [("traces", KIND_TRACE, 0usize), ("cells", KIND_CELL, 1usize)] {
             for path in record_files(&self.root.join(sub))? {
                 let Ok(bytes) = fs::read(&path) else {
@@ -709,8 +592,8 @@ impl GridStore {
     }
 }
 
-/// Every record file under a family directory: the 256 shard
-/// subdirectories plus any flat-layout leftovers at the top level.
+/// Every record file under a family directory, across its 256 shard
+/// subdirectories.
 fn record_files(family_root: &Path) -> Result<Vec<PathBuf>, StoreError> {
     let mut files = Vec::new();
     for entry in fs::read_dir(family_root)? {
@@ -719,8 +602,6 @@ fn record_files(family_root: &Path) -> Result<Vec<PathBuf>, StoreError> {
             for entry in fs::read_dir(&path)? {
                 files.push(entry?.path());
             }
-        } else {
-            files.push(path);
         }
     }
     Ok(files)

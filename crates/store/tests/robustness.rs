@@ -63,8 +63,7 @@ fn max_simulator() -> Simulator {
     Simulator::new(p.assemble().expect("assembles"), 4096)
 }
 
-/// Every record file under a family directory — shard subdirectories plus
-/// any flat-layout files at the top level.
+/// Every record file in a family's shard subdirectories.
 fn record_files(dir: &std::path::Path, family: &str) -> Vec<PathBuf> {
     let mut files = Vec::new();
     for entry in fs::read_dir(dir.join(family)).expect("family dir exists") {
@@ -73,8 +72,6 @@ fn record_files(dir: &std::path::Path, family: &str) -> Vec<PathBuf> {
             for entry in fs::read_dir(&path).expect("shard dir readable") {
                 files.push(entry.expect("entry").path());
             }
-        } else {
-            files.push(path);
         }
     }
     files
@@ -265,55 +262,44 @@ fn records_land_in_their_hash_shard() {
         stem[..2].to_string(),
         "shard dir is the first byte of the key hash"
     );
-    assert_eq!(store.stats().migrated, 0, "a fresh store migrates nothing");
 }
 
+/// Format v2 retired the flat `<family>/<hash16>.rec` layout: a v1
+/// directory is refused at open, and a file at a family's top level is not
+/// a record — never served, never counted.
 #[test]
-fn flat_layout_records_are_migrated_on_read() {
-    let dir = TempDir::new("migrate");
+fn v1_directories_are_refused_and_flat_files_are_not_records() {
+    let v1 = TempDir::new("v1");
+    let mut manifest = b"SBGRIDMF".to_vec();
+    manifest.extend_from_slice(&1u32.to_le_bytes());
+    fs::write(v1.path().join("MANIFEST"), manifest).expect("writable");
+    match GridStore::open(v1.path()) {
+        Err(StoreError::VersionMismatch {
+            found: 1,
+            expected: 2,
+        }) => {}
+        other => panic!("expected a v1 directory to be refused, got {other:?}"),
+    }
+
+    let dir = TempDir::new("flat");
     let sim = max_simulator();
     let report = CampaignRunner::new()
         .with_threads(1)
         .run(&sim, "max", &[4, 9], 100, &BranchInversion)
         .expect("campaign runs");
     let key = CellKey::new("art-fp", "branch-invert", "max", &[4, 9]);
-    let recorded = record_reference(&sim, "max", &[4, 9], 100).expect("records");
-    let trace_key = TraceKey::new("art-fp", "max", &[4, 9]);
-
-    // Write sharded records, then flatten them back into the PR 5 layout.
     let store = GridStore::open(dir.path()).expect("opens");
     store.put_cell(&key, &report);
-    store.put_trace(&trace_key, &recorded);
-    for family in ["cells", "traces"] {
-        let sharded = sole_record_file(dir.path(), family);
-        let flat = dir
-            .path()
-            .join(family)
-            .join(sharded.file_name().expect("file name"));
-        fs::rename(&sharded, &flat).expect("flattens");
-        fs::remove_dir(sharded.parent().expect("shard dir")).expect("removes empty shard");
-    }
-
-    // A fresh store serves both records and moves them into their shards.
-    let reopened = GridStore::open(dir.path()).expect("reopens");
-    assert_eq!(
-        reopened.get_cell(&key).expect("served via migration"),
-        report
-    );
-    assert!(reopened.get_trace(&trace_key).is_some());
-    assert_eq!(reopened.stats().migrated, 2);
-    for family in ["cells", "traces"] {
-        let file = sole_record_file(dir.path(), family);
-        assert!(
-            file.parent() != Some(&dir.path().join(family)),
-            "{family} record now lives in a shard subdirectory"
-        );
-    }
-    // The migration is one-time: a second read finds the sharded record.
-    assert_eq!(reopened.get_cell(&key).expect("still served"), report);
-    assert_eq!(reopened.stats().migrated, 2);
-    let scan = reopened.scan().expect("scans");
-    assert_eq!((scan.trace_records, scan.cell_records), (1, 1));
+    let sharded = sole_record_file(dir.path(), "cells");
+    let flat = dir
+        .path()
+        .join("cells")
+        .join(sharded.file_name().expect("file name"));
+    fs::rename(&sharded, &flat).expect("flattens");
+    assert_eq!(store.get_cell(&key), None, "a flat file is not served");
+    assert!(flat.exists(), "and it is left alone");
+    let scan = store.scan().expect("scans");
+    assert_eq!((scan.cell_records, scan.corrupt_records), (0, 0));
 }
 
 #[test]
@@ -334,8 +320,14 @@ fn compaction_drops_dead_artifacts_and_keeps_live_ones() {
             &report,
         );
     }
-    // One unclassifiable file rides along and must be collected too.
-    fs::write(dir.path().join("cells").join("junk.rec"), b"not a record").expect("writable");
+    // One unclassifiable file in a shard rides along and must be collected
+    // too.
+    fs::create_dir_all(dir.path().join("cells").join("00")).expect("shard creatable");
+    fs::write(
+        dir.path().join("cells").join("00").join("junk.rec"),
+        b"not a record",
+    )
+    .expect("writable");
 
     let live: std::collections::HashSet<String> = ["live-fp".to_string()].into_iter().collect();
     let compacted = store.compact(&live).expect("compacts");

@@ -136,7 +136,7 @@ fn security_report_is_byte_identical_disabled_cold_and_warm() {
     assert_eq!(warm.stats.cell_misses, 0, "zero simulation");
     assert_eq!(warm.stats.trace_misses, 0, "zero new reference traces");
     assert_eq!(
-        warm_session.trace_store().misses(),
+        warm_session.trace_store().stats().misses,
         0,
         "the warm session never recorded"
     );
@@ -188,7 +188,7 @@ fn traces_warm_start_from_disk_when_cells_are_absent() {
         "every reference loaded from disk"
     );
     assert_eq!(warm.stats.trace_misses, 0, "zero new recordings");
-    assert_eq!(warm_session.trace_store().disk_hits(), artifact_count);
+    assert_eq!(warm_session.trace_store().stats().disk_hits, artifact_count);
 }
 
 /// The in-memory checkpoint byte budget is output-invariant: a session
@@ -372,8 +372,8 @@ fn artifact_campaigns_match_the_runner_oracle() {
                     assert!(warm.is_empty(), "a warm cell needs no reference");
                 }
                 // Five models on one artifact share one recording per store.
-                assert_eq!((plain.misses(), plain.hits()), (1, 4));
-                assert_eq!(cold.misses(), 1);
+                assert_eq!((plain.stats().misses, plain.stats().hits), (1, 4));
+                assert_eq!(cold.stats().misses, 1);
             }
         }
         let stats = cold_grid.stats();

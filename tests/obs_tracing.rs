@@ -147,9 +147,9 @@ fn reports_are_byte_identical_with_tracing_enabled_cold_and_warm() {
 
 /// The exported trace is a well-formed Chrome trace-event document and
 /// contains at least one span for every instrumented phase the run went
-/// through: artifact build, reference recording, micro-op decode, shard
-/// execution, checkpoint fast-forward, spine-snapshot restore, and store
-/// writes (cold pass) plus store reads (warm pass).
+/// through: artifact build, reference recording, suffix-index build,
+/// micro-op decode, shard execution, checkpoint fast-forward, spine-snapshot
+/// restore, and store writes (cold pass) plus store reads (warm pass).
 #[test]
 fn trace_export_covers_every_instrumented_phase() {
     let _guard = serial();
@@ -183,6 +183,7 @@ fn trace_export_covers_every_instrumented_phase() {
     for phase in [
         "build",
         "reference",
+        "suffix_index",
         "decode",
         "shard",
         "fast_forward",
