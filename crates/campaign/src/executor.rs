@@ -22,8 +22,11 @@
 //!    workers steal the next unclaimed shard regardless of which cell it
 //!    belongs to, so a single huge cell spreads across all workers instead
 //!    of serialising the tail of the run,
-//! 4. per-cell outcomes are stitched back together in canonical fault-space
-//!    order and assembled into ordinary [`CampaignReport`]s.
+//! 4. the worker that finishes a cell's last shard (a per-cell count of
+//!    shards still running tells it) stitches the cell's outcomes back
+//!    together in canonical fault-space order and assembles the ordinary
+//!    [`CampaignReport`] on the pool, so reports of early cells are built
+//!    while later cells still run; the caller only collects them.
 //!
 //! # Differential resume
 //!
@@ -46,6 +49,13 @@
 //!   spine, restoring between candidates instead of re-running the shared
 //!   prefix per point.
 //!
+//! Every run is executed in segments, and a fault point's hook is installed
+//! only over its fault window `[anchor_step, last_fault_step]`: before and
+//! after it the point hook returns `Continue` and leaves the machine alone,
+//! so those steps run on the interpreter's hook-free loop. Only a run that
+//! overshoots both its last fault and the reference length gets a hook
+//! again — the `CycleGuard` endless-loop prover.
+//!
 //! The hard invariant: the assembled reports are **byte-identical** to what
 //! the sequential per-cell [`crate::CampaignRunner`] path produces, at any
 //! thread count, shard size and grouping. Scheduling and resume strategy
@@ -58,14 +68,15 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Instant;
 
 use secbranch_armv7m::{
-    FaultAction, FaultHook, Instr, Machine, MachineState, Program, RunCursor, SegmentEnd, SimError,
-    Simulator,
+    FaultAction, FaultHook, Instr, Machine, MachineState, NoFaults, Program, RunCursor, SegmentEnd,
+    SimError, Simulator,
 };
 
 use crate::accel;
@@ -212,7 +223,6 @@ struct Shard {
     job: usize,
     unit_start: usize,
     unit_end: usize,
-    point_start: usize,
 }
 
 /// Per-shard execution counters, folded into the owning cell's result.
@@ -267,10 +277,11 @@ struct ProveMemo {
 /// proven within `O(μ + λ)` steps of the watch point whatever `λ` is.
 const CYCLE_GUARD_WINDOW: u64 = 64;
 
-/// An endless-loop prover wrapped around a fault hook: once a faulted run
-/// overshoots both its last fault step and the reference length, the guard
-/// anchors a snapshot of the machine and watches for the anchor's program
-/// counter to come back. Two provers fire on a revisit:
+/// An endless-loop prover for the tail of a faulted run: installed as the
+/// run's only hook once the run overshoots both its last fault step and the
+/// reference length, the guard anchors a snapshot of the machine and
+/// watches for the anchor's program counter to come back. Two provers fire
+/// on a revisit:
 ///
 /// * exact periodicity — observably-equal state
 ///   ([`Machine::state_repeats`]) proves the run cycles bit-for-bit;
@@ -281,22 +292,23 @@ const CYCLE_GUARD_WINDOW: u64 = 64;
 ///
 /// Either proof lets the guard answer [`FaultAction::DivergenceProven`],
 /// ending the run with the exact step-limit error it was guaranteed to
-/// produce — the inner hook is inert from the watch point on, so nothing
-/// can ever break the loop. Anchors are re-taken Brent-style (at doubling
+/// produce — every fault has landed before the watch point, so nothing can
+/// ever break the loop. Anchors are re-taken Brent-style (at doubling
 /// step windows), so the loop's entry point and length are eventually
 /// bracketed whatever they are; the symbolic prover runs at most once per
 /// anchor generation, which caps its total cost per run at
 /// `O(log max_steps)` attempts.
 ///
-/// Healthy runs halt before the watch point and never pay for a snapshot.
-struct CycleGuard<'h, H: FaultHook + ?Sized> {
+/// Healthy runs halt before the watch point and never pay for the guard.
+struct CycleGuard<'h> {
     /// Shared prover scoreboard for the shard, keyed by anchor pc.
     memo: &'h RefCell<HashMap<usize, ProveMemo>>,
-    /// Shard-shared scratch simulator for the prover's discovery walks.
-    scratch: &'h RefCell<Simulator>,
-    inner: &'h mut H,
-    /// First step eligible for anchoring: past the last injected fault (the
-    /// inner hook returns only `Continue` from here on) and past the
+    /// Shard-shared scratch simulator for the prover's discovery walks,
+    /// made by the first walk that needs it.
+    scratch: &'h RefCell<Option<Simulator>>,
+    /// The source the scratch simulator is made from.
+    source: &'h dyn SimulatorSource,
+    /// First step the guard sees: past the last injected fault and past the
     /// reference length.
     watch_from: u64,
     /// The program, for walking loop bodies symbolically.
@@ -320,22 +332,15 @@ struct CycleGuard<'h, H: FaultHook + ?Sized> {
     steps_saved: u64,
 }
 
-impl<'h, H: FaultHook + ?Sized> CycleGuard<'h, H> {
-    fn new(
-        inner: &'h mut H,
-        watch_from: u64,
-        program: Arc<Program>,
-        max_steps: u64,
-        memo: &'h RefCell<HashMap<usize, ProveMemo>>,
-        scratch: &'h RefCell<Simulator>,
-    ) -> Self {
+impl<'h> CycleGuard<'h> {
+    fn new(cell: &'h CellExec<'_>, watch_from: u64, program: Arc<Program>) -> Self {
         CycleGuard {
-            memo,
-            scratch,
-            inner,
+            memo: &cell.prove_memo,
+            scratch: &cell.scratch,
+            source: cell.job.source,
             watch_from,
             program,
-            max_steps,
+            max_steps: cell.job.max_steps,
             anchor: None,
             window: CYCLE_GUARD_WINDOW,
             tried_prove: false,
@@ -362,7 +367,7 @@ impl<'h, H: FaultHook + ?Sized> CycleGuard<'h, H> {
     }
 }
 
-impl<H: FaultHook + ?Sized> FaultHook for CycleGuard<'_, H> {
+impl FaultHook for CycleGuard<'_> {
     fn before_execute(
         &mut self,
         step: u64,
@@ -370,13 +375,10 @@ impl<H: FaultHook + ?Sized> FaultHook for CycleGuard<'_, H> {
         instr: &Instr,
         machine: &mut Machine,
     ) -> FaultAction {
-        match self.inner.before_execute(step, pc, instr, machine) {
-            FaultAction::Continue => {}
-            action => return action,
-        }
-        if step < self.watch_from {
-            return FaultAction::Continue;
-        }
+        debug_assert!(
+            step >= self.watch_from,
+            "the guard runs past the watch point only"
+        );
         match &self.anchor {
             Some((anchor_pc, anchor_step, state)) => {
                 if pc == *anchor_pc {
@@ -396,7 +398,8 @@ impl<H: FaultHook + ?Sized> FaultHook for CycleGuard<'_, H> {
                         self.tried_prove = true;
                         let _span =
                             secbranch_obs::span_with("prover", || format!("pc {pc} step {step}"));
-                        let scratch = &mut *self.scratch.borrow_mut();
+                        let mut scratch = self.scratch.borrow_mut();
+                        let scratch = scratch.get_or_insert_with(|| self.source.fresh_simulator());
                         let mut outcome = accel::prove_divergence(
                             &self.program,
                             machine,
@@ -479,8 +482,9 @@ struct CellExec<'a> {
     /// Prover scoreboard shared by every trial this shard runs, so loop
     /// shapes the prover keeps failing on stop being re-analysed.
     prove_memo: RefCell<HashMap<usize, ProveMemo>>,
-    /// Scratch simulator the prover replays run futures on.
-    scratch: RefCell<Simulator>,
+    /// Scratch simulator the prover replays run futures on; most shards
+    /// never consult the prover, so it is made on first use.
+    scratch: RefCell<Option<Simulator>>,
     /// Whether a `fast_forward` span has been recorded for this shard;
     /// checkpoint restores happen per fault point, so tracing each one would
     /// dwarf the work being traced. One representative span per shard keeps
@@ -543,66 +547,99 @@ impl CellExec<'_> {
             }
         };
         with_point_hook!(point, hook => {
-            self.run_from_cursor(sim, cursor, &mut hook, point.last_fault_step(), stats)
+            self.run_from_cursor(
+                sim,
+                cursor,
+                &mut hook,
+                (point.anchor_step(), point.last_fault_step()),
+                stats,
+            )
         })
     }
 
-    /// Executes from `cursor` to completion, pausing at every reference
-    /// checkpoint at or past `last_fault_step`: a faulted run whose machine
-    /// state matches the reference's at one of them is bit-identical to the
-    /// reference from that point on (deterministic interpreter, inert
-    /// hook), so the reference outcome is returned without running the
-    /// suffix.
+    /// Runs one segment from `cursor` to the `pause` boundary; a run that
+    /// completes or fails on the way is already its outcome.
+    fn advance<H: FaultHook + ?Sized>(
+        &self,
+        sim: &mut Simulator,
+        cursor: RunCursor,
+        pause: Option<u64>,
+        hook: &mut H,
+    ) -> Result<RunCursor, (Outcome, u32)> {
+        let reference = &self.reference.trace.result;
+        match sim.run_segment(cursor, pause, self.job.max_steps, hook) {
+            Ok(SegmentEnd::Paused(next)) => Ok(next),
+            Ok(SegmentEnd::Done(result)) => {
+                Err((classify(reference, &Ok(result)), result.return_value))
+            }
+            Err(e) => Err((classify(reference, &Err(e)), 0)),
+        }
+    }
+
+    /// Executes from `cursor` to completion with `hook` installed only over
+    /// the fault window `[first, last]` of dynamic steps: outside it every
+    /// point hook returns `Continue` and leaves the machine alone, so the
+    /// steps before `first` and after `last` run hook-free.
     ///
-    /// Runs that *diverge* instead of reconverging are watched by a
-    /// [`CycleGuard`] once they overshoot the reference: a proven endless
-    /// loop ends immediately with the step-limit error it was guaranteed to
-    /// produce, instead of burning the remaining step budget one
-    /// instruction at a time.
+    /// Past `last` the run pauses at every reference checkpoint: a faulted
+    /// run whose machine state matches the reference's at one of them is
+    /// bit-identical to the reference from that point on (deterministic
+    /// interpreter, every fault landed), so the reference outcome is
+    /// returned without running the suffix.
+    ///
+    /// Runs that *diverge* instead of reconverging overshoot the reference
+    /// and meet a [`CycleGuard`], the only hook from the watch point on: a
+    /// proven endless loop ends immediately with the step-limit error it was
+    /// guaranteed to produce, instead of burning the remaining step budget
+    /// one instruction at a time.
     fn run_from_cursor<H: FaultHook + ?Sized>(
         &self,
         sim: &mut Simulator,
         mut cursor: RunCursor,
         hook: &mut H,
-        last_fault_step: u64,
+        (first, last): (u64, u64),
         stats: &mut WorkCounters,
     ) -> (Outcome, u32) {
-        let reference = &self.reference.trace.result;
         let checkpoints = &self.reference.checkpoints;
-        let watch_from = last_fault_step.max(self.reference.trace.steps()) + 1;
-        let mut hook = CycleGuard::new(
-            hook,
-            watch_from,
-            Arc::clone(sim.shared_program()),
-            self.job.max_steps,
-            &self.prove_memo,
-            &self.scratch,
-        );
-        let threshold = last_fault_step.max(cursor.steps_done() + 1);
+        let watch_from = last.max(self.reference.trace.steps()) + 1;
+        let threshold = last.max(cursor.steps_done() + 1);
         let mut cp_index = checkpoints.partition_point(|cp| cp.steps_done < threshold);
+        cursor = match self
+            .advance(sim, cursor, Some(first.saturating_sub(1)), &mut NoFaults)
+            .and_then(|next| self.advance(sim, next, Some(last), hook))
+        {
+            Ok(next) => next,
+            Err(outcome) => return outcome,
+        };
+        // Checkpoints lie within the reference, so all of them come before
+        // the watch point.
         loop {
-            let pause = checkpoints.get(cp_index).map(|cp| cp.steps_done);
-            match sim.run_segment(cursor, pause, self.job.max_steps, &mut hook) {
-                Ok(SegmentEnd::Done(result)) => {
-                    return (classify(reference, &Ok(result)), result.return_value);
+            let cp = checkpoints.get(cp_index);
+            let pause = match cp {
+                Some(cp) => cp.steps_done,
+                None if cursor.steps_done() + 1 < watch_from => watch_from - 1,
+                None => break,
+            };
+            cursor = match self.advance(sim, cursor, Some(pause), &mut NoFaults) {
+                Ok(next) => next,
+                Err(outcome) => return outcome,
+            };
+            if let Some(cp) = cp {
+                if cursor.pc() as u32 == cp.pc && sim.machine().state_matches(&cp.state) {
+                    stats.suffix_steps_saved +=
+                        self.reference.trace.steps().saturating_sub(cp.steps_done);
+                    return self.reference_outcome();
                 }
-                Ok(SegmentEnd::Paused(next)) => {
-                    let cp = &checkpoints[cp_index];
-                    if next.pc() as u32 == cp.pc && sim.machine().state_matches(&cp.state) {
-                        stats.suffix_steps_saved +=
-                            self.reference.trace.steps().saturating_sub(cp.steps_done);
-                        return self.reference_outcome();
-                    }
-                    cursor = next;
-                    cp_index += 1;
-                }
-                Err(e) => {
-                    stats.loop_proofs += hook.proofs;
-                    stats.loop_steps_saved += hook.steps_saved;
-                    return (classify(reference, &Err(e)), 0);
-                }
+                cp_index += 1;
             }
         }
+        let mut guard = CycleGuard::new(self, watch_from, Arc::clone(sim.shared_program()));
+        let Err(outcome) = self.advance(sim, cursor, None, &mut guard) else {
+            unreachable!("a run without a pause point never pauses");
+        };
+        stats.loop_proofs += guard.proofs;
+        stats.loop_steps_saved += guard.steps_saved;
+        outcome
     }
 
     /// Runs one grouped multi-fault batch (members sharing the first skip
@@ -649,7 +686,7 @@ impl CellExec<'_> {
         }
         if !fan.is_empty() {
             fan.sort_by_key(|&(_, second)| second);
-            self.run_spine_fan(sim, first, points, &fan, &mut out, stats);
+            self.run_spine_fan(sim, first, &fan, &mut out, stats);
         }
         out.into_iter()
             .map(|outcome| outcome.expect("every group member resolved"))
@@ -660,7 +697,9 @@ impl CellExec<'_> {
     /// skip (cached [`SpineSnapshot`] → checkpoint → full prefix, in order
     /// of preference), then walk the members in ascending second-fault
     /// order — pause the spine at each member's `second - 1`, snapshot, run
-    /// the member with reconvergence, restore, continue the spine.
+    /// the member with reconvergence, restore, continue the spine. Past
+    /// `first` the spine runs hook-free, and a member's only pending fault
+    /// is its second skip.
     ///
     /// While advancing, the spine itself is checked against reference
     /// checkpoints: once the skip-first-only run reconverges with the
@@ -673,13 +712,10 @@ impl CellExec<'_> {
         &self,
         sim: &mut Simulator,
         first: u64,
-        points: &[FaultPoint],
         fan: &[(usize, u64)],
         out: &mut [Option<(Outcome, u32)>],
         stats: &mut WorkCounters,
     ) {
-        let reference = &self.reference.trace.result;
-        let mut spine_hook = SkipHook { step: first };
         let fill = |out: &mut [Option<(Outcome, u32)>], from: usize, value: (Outcome, u32)| {
             for &(slot, _) in &fan[from..] {
                 out[slot] = Some(value);
@@ -704,13 +740,22 @@ impl CellExec<'_> {
                 match sim.begin_call(&self.job.entry, &self.job.args) {
                     Ok(cursor) => cursor,
                     Err(e) => {
-                        fill(out, 0, (classify(reference, &Err(e)), 0));
+                        fill(out, 0, (classify(&self.reference.trace.result, &Err(e)), 0));
                         return;
                     }
                 }
             };
-            match sim.run_segment(start, Some(first), self.job.max_steps, &mut spine_hook) {
-                Ok(SegmentEnd::Paused(cursor)) => {
+            // The prefix executes reference instructions until `first`, so
+            // finishing or faulting before the pause is out of the ordinary
+            // — but whatever happened happened before any member's second
+            // skip, so the result is every member's.
+            let prefix = self
+                .advance(sim, start, Some(first.saturating_sub(1)), &mut NoFaults)
+                .and_then(|next| {
+                    self.advance(sim, next, Some(first), &mut SkipHook { step: first })
+                });
+            match prefix {
+                Ok(cursor) => {
                     self.store.cache_spine_snapshot(
                         &self.job.key,
                         first,
@@ -722,20 +767,8 @@ impl CellExec<'_> {
                     );
                     cursor
                 }
-                // The prefix executes reference instructions until `first`,
-                // so finishing or faulting before the pause is out of the
-                // ordinary — but whatever happened happened before any
-                // member's second skip, so the result is every member's.
-                Ok(SegmentEnd::Done(result)) => {
-                    fill(
-                        out,
-                        0,
-                        (classify(reference, &Ok(result)), result.return_value),
-                    );
-                    return;
-                }
-                Err(e) => {
-                    fill(out, 0, (classify(reference, &Err(e)), 0));
+                Err(outcome) => {
+                    fill(out, 0, outcome);
                     return;
                 }
             }
@@ -753,53 +786,42 @@ impl CellExec<'_> {
                     .get(cp_index)
                     .filter(|cp| cp.steps_done <= target);
                 let pause = next_cp.map_or(target, |cp| cp.steps_done);
-                match sim.run_segment(cursor, Some(pause), self.job.max_steps, &mut spine_hook) {
-                    Ok(SegmentEnd::Paused(next)) => {
-                        cursor = next;
-                        if let Some(cp) = next_cp {
-                            if next.pc() as u32 == cp.pc && sim.machine().state_matches(&cp.state) {
-                                // Spine rejoined the reference: every member
-                                // from here on is a plain skip of its second.
-                                for &(slot, second) in &fan[index..] {
-                                    out[slot] = Some(self.run_single(
-                                        sim,
-                                        &FaultPoint::Skip { step: second },
-                                        stats,
-                                    ));
-                                }
-                                return;
-                            }
-                        }
-                    }
-                    Ok(SegmentEnd::Done(result)) => {
-                        // The spine halted before any remaining member's
-                        // second skip could fire: their runs are the
-                        // spine's, verbatim.
-                        fill(
-                            out,
-                            index,
-                            (classify(reference, &Ok(result)), result.return_value),
-                        );
+                cursor = match self.advance(sim, cursor, Some(pause), &mut NoFaults) {
+                    Ok(next) => next,
+                    // The spine halted or failed before any remaining
+                    // member's second skip could fire: their runs are the
+                    // spine's, verbatim.
+                    Err(outcome) => {
+                        fill(out, index, outcome);
                         return;
                     }
-                    Err(e) => {
-                        fill(out, index, (classify(reference, &Err(e)), 0));
+                };
+                if let Some(cp) = next_cp {
+                    if cursor.pc() as u32 == cp.pc && sim.machine().state_matches(&cp.state) {
+                        // Spine rejoined the reference: every member from
+                        // here on is a plain skip of its second.
+                        for &(slot, second) in &fan[index..] {
+                            out[slot] = Some(self.run_single(
+                                sim,
+                                &FaultPoint::Skip { step: second },
+                                stats,
+                            ));
+                        }
                         return;
                     }
                 }
             }
+            let mut member = SkipHook { step: second };
             if index + 1 == fan.len() {
                 // No later member restores this position: run in place.
-                out[slot] = Some(with_point_hook!(&points[slot], hook => {
-                    self.run_from_cursor(sim, cursor, &mut hook, second, stats)
-                }));
+                out[slot] =
+                    Some(self.run_from_cursor(sim, cursor, &mut member, (second, second), stats));
                 return;
             }
             let snap_state = sim.machine().snapshot();
             let snap_cursor = cursor;
-            out[slot] = Some(with_point_hook!(&points[slot], hook => {
-                self.run_from_cursor(sim, cursor, &mut hook, second, stats)
-            }));
+            out[slot] =
+                Some(self.run_from_cursor(sim, cursor, &mut member, (second, second), stats));
             {
                 let _span = if secbranch_obs::enabled() && !self.restore_traced.replace(true) {
                     secbranch_obs::span("snapshot_restore")
@@ -1159,11 +1181,27 @@ impl MatrixExecutor {
                 job: first_unit.job,
                 unit_start: unit_index,
                 unit_end,
-                point_start: first_unit.start,
             });
             unit_index = unit_end;
         }
         let slots: Vec<OnceLock<ShardOutput>> = shards.iter().map(|_| OnceLock::new()).collect();
+        // Each job's shards, a contiguous range of the list, and how many of
+        // them are still running: the worker that finishes a job's last
+        // shard assembles that job's report.
+        let mut job_shards: Vec<Range<usize>> = vec![0..0; jobs.len()];
+        for (index, shard) in shards.iter().enumerate() {
+            let range = &mut job_shards[shard.job];
+            if range.end == 0 {
+                range.start = index;
+            }
+            range.end = index + 1;
+        }
+        let remaining: Vec<AtomicUsize> = job_shards
+            .iter()
+            .map(|range| AtomicUsize::new(range.len()))
+            .collect();
+        let cells: Vec<OnceLock<(CampaignReport, ShardStats)>> =
+            jobs.iter().map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
         let expired = AtomicBool::new(false);
 
@@ -1196,7 +1234,7 @@ impl MatrixExecutor {
                 suffix: suffixes[shard.job].as_deref(),
                 store,
                 prove_memo: RefCell::new(HashMap::new()),
-                scratch: RefCell::new(job.source.fresh_simulator()),
+                scratch: RefCell::new(None),
                 ff_traced: Cell::new(false),
                 restore_traced: Cell::new(false),
             };
@@ -1227,6 +1265,34 @@ impl MatrixExecutor {
             };
             (outcomes, stats)
         };
+        // Stitches a live job's shard outputs back together (its shards
+        // appear in fault-space order in the global list) and assembles the
+        // report.
+        let assemble = |index: usize| {
+            let job = &jobs[index];
+            let _span = secbranch_obs::span_with("assemble", || {
+                format!("{} {}", job.key.artifact, job.model.name())
+            });
+            let mut outcomes: Vec<(Outcome, u32)> = Vec::with_capacity(spaces[index].len());
+            let mut stats = ShardStats::default();
+            for slot in &slots[job_shards[index].clone()] {
+                let (shard_outcomes, shard_stats) = slot.get().expect("every shard of the job ran");
+                outcomes.extend_from_slice(shard_outcomes);
+                stats.micros += shard_stats.micros;
+                stats.work += shard_stats.work;
+            }
+            let reference = recorded[index].as_ref().expect("live job");
+            let report = assemble_report(
+                job.model.name(),
+                &job.entry,
+                &job.args,
+                &reference.trace,
+                &reference.program,
+                &spaces[index],
+                &outcomes,
+            );
+            (report, stats)
+        };
         let worker = || {
             let mut sim = None;
             loop {
@@ -1240,6 +1306,12 @@ impl MatrixExecutor {
                 }
                 let outcome = run_shard(shard, &mut sim);
                 slots[index].set(outcome).expect("shard claimed twice");
+                // AcqRel pairs each worker's release of its slot with the
+                // acquire of whoever takes the count to zero, so the
+                // assembler sees every slot of the job filled.
+                if remaining[shard.job].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    cells[shard.job].get_or_init(|| assemble(shard.job));
+                }
             }
         };
         let workers = self.threads.min(shards.len()).max(1);
@@ -1261,23 +1333,13 @@ impl MatrixExecutor {
             return Err(MatrixError::DeadlineExpired);
         }
 
-        // Phase 4: stitch outcomes back per job (shards of one job appear in
-        // fault-space order in the global list), assemble the reports, and
-        // write freshly computed cells back to the backend.
-        let mut outcomes: Vec<Vec<(Outcome, u32)>> =
-            spaces.iter().map(|s| Vec::with_capacity(s.len())).collect();
-        let mut stats = vec![ShardStats::default(); jobs.len()];
-        for (shard, slot) in shards.iter().zip(&slots) {
-            let (shard_outcomes, shard_stats) = slot.get().expect("all shards executed");
-            debug_assert_eq!(outcomes[shard.job].len(), shard.point_start);
-            outcomes[shard.job].extend_from_slice(shard_outcomes);
-            stats[shard.job].micros += shard_stats.micros;
-            stats[shard.job].work += shard_stats.work;
-        }
-        Ok(jobs
-            .iter()
+        // Phase 4: collect the reports (a live job with an empty fault space
+        // ran no shard, so its empty report is assembled here) and write
+        // freshly computed cells back to the backend.
+        Ok(cells
+            .into_iter()
             .enumerate()
-            .map(|(index, job)| {
+            .map(|(index, cell)| {
                 if let Some(report) = cached[index].take() {
                     return MatrixCellResult {
                         report,
@@ -1287,16 +1349,7 @@ impl MatrixExecutor {
                         work: WorkCounters::default(),
                     };
                 }
-                let reference = recorded[index].as_ref().expect("live job");
-                let report = assemble_report(
-                    job.model.name(),
-                    &job.entry,
-                    &job.args,
-                    &reference.trace,
-                    &reference.program,
-                    &spaces[index],
-                    &outcomes[index],
-                );
+                let (report, stats) = cell.into_inner().unwrap_or_else(|| assemble(index));
                 if let (Some(backend), Some(key)) = (&backend, &cell_keys[index]) {
                     backend.store_cell(key, &report);
                 }
@@ -1304,8 +1357,8 @@ impl MatrixExecutor {
                     report,
                     cell_hit: false,
                     trace_fetch: fetches[index],
-                    compute_micros: stats[index].micros,
-                    work: stats[index].work,
+                    compute_micros: stats.micros,
+                    work: stats.work,
                 }
             })
             .collect())
@@ -1319,7 +1372,9 @@ mod tests {
         BranchInversion, DoubleInstructionSkip, InstructionSkip, MemoryBitFlip, RegisterBitFlip,
     };
     use crate::runner::CampaignRunner;
-    use secbranch_armv7m::{Cond, Instr, Operand2, ProgramBuilder, Reg, Simulator, Target};
+    use secbranch_armv7m::{
+        Cond, Instr, Operand2, Program, ProgramBuilder, Reg, Simulator, Target,
+    };
 
     fn max_simulator() -> Simulator {
         let mut p = ProgramBuilder::new();
@@ -1345,6 +1400,23 @@ mod tests {
     /// scratch store per iteration and enough steps for several checkpoints
     /// — exercises every differential-resume path at once.
     fn loop_simulator() -> Simulator {
+        with_table(Simulator::new(loop_program(), 4096))
+    }
+
+    /// The loop artifact on the retained reference interpreter, the oracle
+    /// the boundary tests compare against.
+    fn loop_reference_simulator() -> Simulator {
+        with_table(Simulator::reference(loop_program(), 4096))
+    }
+
+    fn with_table(mut sim: Simulator) -> Simulator {
+        for i in 0..64u32 {
+            sim.machine_mut().write_bytes(256 + i, &[(i * 7 + 3) as u8]);
+        }
+        sim
+    }
+
+    fn loop_program() -> Program {
         let mut p = ProgramBuilder::new();
         p.label("sum");
         p.push(Instr::Push {
@@ -1395,11 +1467,7 @@ mod tests {
         p.push(Instr::Pop {
             regs: vec![Reg::R4, Reg::Pc],
         });
-        let mut sim = Simulator::new(p.assemble().expect("assembles"), 4096);
-        for i in 0..64u32 {
-            sim.machine_mut().write_bytes(256 + i, &[(i * 7 + 3) as u8]);
-        }
-        sim
+        p.assemble().expect("assembles")
     }
 
     fn jobs_over<'a>(sim: &'a Simulator, models: &'a [&'a dyn FaultModel]) -> Vec<MatrixJob<'a>> {
@@ -1649,5 +1717,198 @@ mod tests {
             .expect("runs");
         assert_eq!(results[0].report.counts.total(), 0);
         assert!(results[0].report.escapes.is_empty());
+    }
+
+    /// A fixed fault space; with `shared_first` set it is one batch sharing
+    /// that first skip, run through the spine fan-out.
+    struct Fixed {
+        points: Vec<FaultPoint>,
+        shared_first: Option<u64>,
+    }
+
+    impl FaultModel for Fixed {
+        fn name(&self) -> String {
+            "fixed".to_string()
+        }
+
+        fn fault_points(&self, _: &CampaignContext<'_>) -> Vec<FaultPoint> {
+            self.points.clone()
+        }
+
+        fn plan(&self, points: &[FaultPoint]) -> Vec<FaultGroup> {
+            vec![FaultGroup {
+                start: 0,
+                end: points.len(),
+                shared_first: self.shared_first,
+            }]
+        }
+    }
+
+    /// The loop artifact's reference length and checkpoint steps.
+    fn loop_reference_shape() -> (u64, Vec<u64>) {
+        let recorded =
+            crate::trace_store::record_reference(&loop_simulator(), "sum", &[48], 10_000)
+                .expect("reference runs");
+        let checkpoints = recorded
+            .checkpoints
+            .iter()
+            .map(|cp| cp.steps_done)
+            .collect();
+        (recorded.trace.steps(), checkpoints)
+    }
+
+    /// Every model's executor report on the micro-op interpreter must equal
+    /// the sequential runner's on the reference interpreter, byte for byte.
+    fn assert_matches_reference_runner(models: &[&dyn FaultModel], max_steps: u64) {
+        let sim = loop_simulator();
+        let oracle = loop_reference_simulator();
+        let jobs: Vec<MatrixJob> = models
+            .iter()
+            .map(|model| MatrixJob {
+                source: &sim,
+                key: TraceKey::new("sum-artifact", "sum", &[48]),
+                entry: "sum".to_string(),
+                args: vec![48],
+                max_steps,
+                model: *model,
+            })
+            .collect();
+        let runner = CampaignRunner::new().with_threads(1);
+        for threads in [1, 2] {
+            let results = MatrixExecutor::new()
+                .with_threads(threads)
+                .with_shard_size(4)
+                .run(&jobs, &TraceStore::new())
+                .expect("runs");
+            for (cell, (result, model)) in results.iter().zip(models).enumerate() {
+                let sequential = runner
+                    .run(&oracle, "sum", &[48], max_steps, *model)
+                    .expect("sequential runs");
+                assert_eq!(
+                    result.report.to_json(),
+                    sequential.to_json(),
+                    "threads={threads} cell={cell} model={} max_steps={max_steps}",
+                    model.name()
+                );
+            }
+        }
+    }
+
+    fn every_kind_at(step: u64) -> [FaultPoint; 6] {
+        [
+            FaultPoint::Skip { step },
+            FaultPoint::DoubleSkip {
+                first: step,
+                second: step + 1,
+            },
+            FaultPoint::RegisterFlip {
+                step,
+                reg: Reg::R3,
+                bit: 0,
+            },
+            FaultPoint::RegisterFlip {
+                step,
+                reg: Reg::R2,
+                bit: 4,
+            },
+            FaultPoint::MemoryFlip {
+                step,
+                addr: 300,
+                bit: 1,
+            },
+            FaultPoint::BranchInvert { step },
+        ]
+    }
+
+    #[test]
+    fn faults_on_checkpoint_steps_match_the_reference_interpreter() {
+        // A fault at a checkpoint's `steps_done` resumes from the checkpoint
+        // before it and pauses for reconvergence right after it lands; one
+        // step later it resumes from that very checkpoint with no hook-free
+        // prefix at all.
+        let (_, checkpoints) = loop_reference_shape();
+        assert!(checkpoints.len() >= 3, "the loop spans several checkpoints");
+        let points: Vec<FaultPoint> = checkpoints[1..]
+            .iter()
+            .flat_map(|&cp| [cp - 1, cp, cp + 1])
+            .flat_map(every_kind_at)
+            .collect();
+        let fixed = Fixed {
+            points,
+            shared_first: None,
+        };
+        assert_matches_reference_runner(&[&fixed], 10_000);
+    }
+
+    #[test]
+    fn double_skips_straddling_a_checkpoint_match_the_reference_interpreter() {
+        let (_, checkpoints) = loop_reference_shape();
+        let cp = checkpoints[1];
+        let next = checkpoints[2];
+        let mut models = Vec::new();
+        for first in [cp - 3, cp - 1, cp] {
+            let points: Vec<FaultPoint> = [cp - 1, cp, cp + 1, cp + 2, next, next + 1]
+                .into_iter()
+                .filter(|&second| second > first)
+                .map(|second| FaultPoint::DoubleSkip { first, second })
+                .collect();
+            // Once through the spine fan-out, once point by point.
+            for shared_first in [Some(first), None] {
+                models.push(Fixed {
+                    points: points.clone(),
+                    shared_first,
+                });
+            }
+        }
+        let refs: Vec<&dyn FaultModel> = models.iter().map(|m| m as &dyn FaultModel).collect();
+        assert_matches_reference_runner(&refs, 10_000);
+    }
+
+    #[test]
+    fn a_step_limit_inside_the_fault_window_matches_the_reference_interpreter() {
+        // Second skips land past the reference length, and the step limit
+        // falls between the two skips: a first skip that lengthens the run
+        // hits the limit before its second skip can fire.
+        let (steps, _) = loop_reference_shape();
+        let mut models = Vec::new();
+        for first in 10..=17 {
+            let points: Vec<FaultPoint> = (1..=4)
+                .map(|d| FaultPoint::DoubleSkip {
+                    first,
+                    second: steps + d,
+                })
+                .collect();
+            for shared_first in [Some(first), None] {
+                models.push(Fixed {
+                    points: points.clone(),
+                    shared_first,
+                });
+            }
+        }
+        let refs: Vec<&dyn FaultModel> = models.iter().map(|m| m as &dyn FaultModel).collect();
+        assert_matches_reference_runner(&refs, steps + 2);
+    }
+
+    #[test]
+    fn a_step_limit_at_the_watch_point_matches_the_reference_interpreter() {
+        // With the budget equal to the reference length, the hook-free
+        // suffix ends exactly where the cycle guard would take over: every
+        // run longer than the reference fails on the limit right there.
+        let (steps, _) = loop_reference_shape();
+        let double = DoubleInstructionSkip {
+            max_injections: 200,
+            seed: 0x2FA17,
+        };
+        let flip = RegisterBitFlip {
+            trials: 128,
+            seed: 0xABCDEF,
+        };
+        let mem = MemoryBitFlip {
+            trials: 64,
+            seed: 0xFEED,
+        };
+        let models: Vec<&dyn FaultModel> =
+            vec![&InstructionSkip, &double, &flip, &mem, &BranchInversion];
+        assert_matches_reference_runner(&models, steps);
     }
 }

@@ -234,11 +234,15 @@ mod tests {
     fn three_bit_faults_are_still_detected_for_the_ordering_class() {
         // "Simulations show that for our parameter selection the error
         // detectability is reduced to 3-bits, arbitrarily placed over all the
-        // whole computation of the condition value."
-        let mut campaign =
-            ConditionCampaign::new(Parameters::paper_defaults(), Predicate::Ult, 0xFEED);
-        let counts = campaign.run(3, 50_000);
-        assert_eq!(counts.undetected_flip, 0);
+        // whole computation of the condition value." Every fault weight up
+        // to 3 bits, each from the same fixed seed.
+        for bits in 1..=3 {
+            let mut campaign =
+                ConditionCampaign::new(Parameters::paper_defaults(), Predicate::Ult, 0xFEED);
+            let counts = campaign.run(bits, 50_000);
+            assert_eq!(counts.undetected_flip, 0, "{bits} bit(s): {counts:?}");
+            assert!(counts.detected > 0, "{bits} bit(s): {counts:?}");
+        }
     }
 
     #[test]

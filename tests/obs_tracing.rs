@@ -188,6 +188,7 @@ fn trace_export_covers_every_instrumented_phase() {
         "shard",
         "fast_forward",
         "snapshot_restore",
+        "assemble",
         "store_write",
         "store_read",
     ] {
